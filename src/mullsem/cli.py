@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -204,9 +205,13 @@ def cmd_phase_search(args):
 
 def cmd_fix(args):
     expr = wrel.parse_funexpr(_read(args.expr))
-    tol = Fraction(args.tol) if args.mode == "exact" else float(args.tol)
-    if (float(tol) if args.mode == "exact" else tol) <= 0:
-        raise FileFormatError("--tol must be positive")
+    try:
+        tol = Fraction(args.tol) if args.mode == "exact" else float(args.tol)
+    except ValueError as exc:
+        raise FileFormatError(f"--tol must be a number, got {args.tol!r}") \
+            from exc
+    if not 0 < tol < math.inf:  # also false for nan
+        raise FileFormatError("--tol must be positive and finite")
     if args.max_iter <= 0:
         raise FileFormatError("--max-iter must be positive")
     result = wrel.kleene_fixpoint(expr, tol, args.max_iter, args.mode)

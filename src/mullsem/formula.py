@@ -135,6 +135,7 @@ BOT = Bot()
 
 _BINARY = {Tensor: "*", Par: "|", Plus: "+", With: "&", Lolli: "-o"}
 _UNARY = {OfCourse: "!", WhyNot: "?", Neg: "~"}
+_PREFIX = {op: ctor for ctor, op in _UNARY.items()}
 
 
 class Context:
@@ -240,10 +241,28 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest formula nesting the parser accepts.  Every recursive pass over
+# formulas (check_variance, nnf, to_text, the interpreters) spends at most
+# a few stack frames per level, and the parser six per parenthesis, so
+# this keeps them all inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
+    """Recursive-descent parser with a nesting limit.
+
+    ``open`` counts the prefix operators, parentheses, binders and lolli
+    operands the parser is inside of, which bounds its own recursion;
+    ``height`` maps each built node (by id) to its tree height, which
+    bounds the recursion of later passes, since left-associative chains
+    such as ``1 * 1 * ...`` grow the tree without parser recursion.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0
+        self.height = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -261,14 +280,37 @@ class _Parser:
         raise ParseError(f"unexpected {what}", tok.line, tok.column, tok.offset,
                          expected=expected)
 
+    def too_deep(self, tok):
+        raise ParseError(f"formula nested deeper than {MAX_NESTING} levels",
+                         tok.line, tok.column, tok.offset)
+
+    def nested(self, tok, parse):
+        """parse(), counted as one more open level at tok."""
+        self.open += 1
+        if self.open > MAX_NESTING:
+            self.too_deep(tok)
+        node = parse()
+        self.open -= 1
+        return node
+
+    def node(self, tok, ctor, *parts):
+        """ctor(*parts), failing at tok if the tree grows too high."""
+        height = 1 + max(self.height.get(id(p), 0) for p in parts)
+        if height > MAX_NESTING:
+            self.too_deep(tok)
+        node = ctor(*parts)
+        self.height[id(node)] = height
+        return node
+
     def formula(self):
         return self.lolli()
 
     def lolli(self):
         left = self.additive()
-        if self.peek().kind == "-o":
+        tok = self.peek()
+        if tok.kind == "-o":
             self.take("-o")
-            return Lolli(left, self.lolli())
+            return self.node(tok, Lolli, left, self.nested(tok, self.lolli))
         return left
 
     def additive(self):
@@ -276,7 +318,7 @@ class _Parser:
         while self.peek().kind in ("+", "&"):
             op = self.take(self.peek().kind)
             rhs = self.multiplicative()
-            node = Plus(node, rhs) if op.kind == "+" else With(node, rhs)
+            node = self.node(op, Plus if op.kind == "+" else With, node, rhs)
         return node
 
     def multiplicative(self):
@@ -284,20 +326,15 @@ class _Parser:
         while self.peek().kind in ("*", "|"):
             op = self.take(self.peek().kind)
             rhs = self.unary()
-            node = Tensor(node, rhs) if op.kind == "*" else Par(node, rhs)
+            node = self.node(op, Tensor if op.kind == "*" else Par, node, rhs)
         return node
 
     def unary(self):
-        kind = self.peek().kind
-        if kind == "!":
-            self.take("!")
-            return OfCourse(self.unary())
-        if kind == "?":
-            self.take("?")
-            return WhyNot(self.unary())
-        if kind == "~":
-            self.take("~")
-            return Neg(self.unary())
+        tok = self.peek()
+        if tok.kind in _PREFIX:
+            self.take(tok.kind)
+            return self.node(tok, _PREFIX[tok.kind],
+                             self.nested(tok, self.unary))
         return self.atom()
 
     def atom(self):
@@ -319,15 +356,15 @@ class _Parser:
             return Var(tok.text)
         if tok.kind == "(":
             self.take("(")
-            inner = self.formula()
+            inner = self.nested(tok, self.formula)
             self.take(")")
             return inner
         if tok.kind in ("mu", "nu"):
             self.take(tok.kind)
             name = self.take("ident").text
             self.take(".")
-            body = self.formula()  # extends maximally right
-            return Mu(name, body) if tok.kind == "mu" else Nu(name, body)
+            body = self.nested(tok, self.formula)  # extends maximally right
+            return self.node(tok, Mu if tok.kind == "mu" else Nu, name, body)
         self.fail({"a formula"})
 
 

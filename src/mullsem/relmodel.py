@@ -18,73 +18,103 @@ from .formula import (Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par, Plus,
 
 
 class Elem:
-    """Base class of carrier elements; immutable, totally ordered."""
+    """Base class of carrier elements; immutable, totally ordered.
 
-    __slots__ = ()
+    Each element caches its sort key and hash at construction, built
+    from its children's cached values, so both cost O(1) however deeply
+    the element nests.  Equality stays structural.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def _seal(self, key, hash_parts):
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(hash_parts))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and all(getattr(self, f) == getattr(other, f)
+                    for f in self.__match_args__))
+
+    def __hash__(self):
+        return self._hash
 
     def __lt__(self, other):
         return sort_key(self) < sort_key(other)
+
+    def __reduce__(self):
+        # rebuild through __init__ so that the caches are recomputed
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __str__(self):
         return render_elem(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Unit(Elem):
-    pass
+    def __post_init__(self):
+        self._seal((0,), (0,))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class InL(Elem):
     value: Elem
 
+    def __post_init__(self):
+        self._seal((1, sort_key(self.value)), (1, self.value))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class InR(Elem):
     value: Elem
 
+    def __post_init__(self):
+        self._seal((2, sort_key(self.value)), (2, self.value))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Pair(Elem):
     first: Elem
     second: Elem
 
+    def __post_init__(self):
+        self._seal((3, sort_key(self.first), sort_key(self.second)),
+                   (3, self.first, self.second))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Bag(Elem):
     """Finite multiset, kept in canonical sorted order."""
 
     items: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "items",
-                           tuple(sorted(self.items, key=sort_key)))
+        items = tuple(sorted(self.items, key=sort_key))
+        object.__setattr__(self, "items", items)
+        self._seal((4, len(items), tuple(map(sort_key, items))), (4, *items))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Fold(Elem):
     value: Elem
+
+    def __post_init__(self):
+        self._seal((5, sort_key(self.value)), (5, self.value))
 
 
 UNIT = Unit()
 
 
 def sort_key(e):
-    match e:
-        case Unit():
-            return (0,)
-        case InL(v):
-            return (1, sort_key(v))
-        case InR(v):
-            return (2, sort_key(v))
-        case Pair(a, b):
-            return (3, sort_key(a), sort_key(b))
-        case Bag(items):
-            return (4, len(items), tuple(sort_key(i) for i in items))
-        case Fold(v):
-            return (5, sort_key(v))
-    # carriers may also hold plain labels (symbolic finite sets)
-    return (-1, repr(e))
+    """Total-order key of a carrier member.
+
+    Elements return their cached key; carriers may also hold plain
+    labels (symbolic finite sets), which order by repr before elements.
+    """
+    return e._key if isinstance(e, Elem) else (-1, repr(e))
 
 
 def fold_depth(e) -> int:
@@ -131,7 +161,10 @@ class Carrier:
     __slots__ = ("elems", "stabilized", "_index")
 
     def __init__(self, elems, stabilized=True):
-        self.elems = tuple(sorted(set(elems), key=sort_key))
+        # dict.fromkeys drops duplicates but keeps the input order, so the
+        # runs that product and sum generators yield in key order survive
+        # into sorted, where a set would shuffle them
+        self.elems = tuple(sorted(dict.fromkeys(elems), key=sort_key))
         self.stabilized = stabilized
         self._index = None
 
@@ -349,15 +382,15 @@ def _act(f, rels, budgets) -> Relation:
             rb = _act(b, rels, budgets)
             pairs = frozenset((Pair(a1, b1), Pair(a2, b2))
                               for a1, a2 in ra.pairs for b1, b2 in rb.pairs)
-            return Relation(_pair_carrier(ra.src, rb.src),
-                            _pair_carrier(ra.tgt, rb.tgt), pairs)
+            return Relation(pair_carrier(ra.src, rb.src),
+                            pair_carrier(ra.tgt, rb.tgt), pairs)
         case Plus(a, b) | With(a, b):
             ra = _act(a, rels, budgets)
             rb = _act(b, rels, budgets)
             pairs = frozenset((InL(a1), InL(a2)) for a1, a2 in ra.pairs) | \
                 frozenset((InR(b1), InR(b2)) for b1, b2 in rb.pairs)
-            return Relation(_sum_carrier(ra.src, rb.src),
-                            _sum_carrier(ra.tgt, rb.tgt), pairs)
+            return Relation(sum_carrier(ra.src, rb.src),
+                            sum_carrier(ra.tgt, rb.tgt), pairs)
         case OfCourse(b) | WhyNot(b):
             rb = _act(b, rels, budgets)
             base = sorted(rb.pairs)
@@ -374,12 +407,12 @@ def _act(f, rels, budgets) -> Relation:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _pair_carrier(a: Carrier, b: Carrier) -> Carrier:
+def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
     return Carrier((Pair(x, y) for x in a for y in b),
                    stabilized=a.stabilized and b.stabilized)
 
 
-def _sum_carrier(a: Carrier, b: Carrier) -> Carrier:
+def sum_carrier(a: Carrier, b: Carrier) -> Carrier:
     elems = [InL(x) for x in a] + [InR(y) for y in b]
     return Carrier(elems, stabilized=a.stabilized and b.stabilized)
 

@@ -21,7 +21,8 @@ from .errors import (BudgetExceeded, CarrierMismatch, CarrierTooLarge,
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       Plus, Tensor, Top, Var, WhyNot, With, Zero)
 from .relmodel import (Carrier, Fold, InL, InR, Pair, Relation, UNIT,
-                       bags_over, fold_depth, interpret_carrier)
+                       bags_over, fold_depth, interpret_carrier,
+                       pair_carrier, sum_carrier)
 
 TRANSVERSAL_BOUND = 12
 
@@ -234,7 +235,7 @@ def interpret_totality(f: Formula, env=None,
     the greatest fixpoint of the fold-reindexed body operator.
     """
     env = env or {}
-    return _tot(f, env, budgets)
+    return _tot(f, env, budgets, {})
 
 
 def _space(carrier, minima, stabilized=True):
@@ -243,7 +244,27 @@ def _space(carrier, minima, stabilized=True):
                          stabilized)
 
 
-def _tot(f, env, budgets) -> TotalitySpace:
+def _derived(carriers: dict, build, *args) -> Carrier:
+    """``build(*args)``, made once per interpretation.
+
+    ``carriers`` belongs to one ``interpret_totality`` call, so fixpoint
+    iterations share the product, sum and bag carriers they rebuild.
+    Carrier equality ignores ``stabilized``, so the key also holds the
+    flag of every input carrier.
+    """
+    key = (build, *args,
+           *(a.stabilized for a in args if isinstance(a, Carrier)))
+    carrier = carriers.get(key)
+    if carrier is None:
+        carrier = carriers[key] = build(*args)
+    return carrier
+
+
+def _bag_carrier(c: Carrier, max_size: int) -> Carrier:
+    return Carrier(bags_over(c, max_size), stabilized=c.stabilized)
+
+
+def _tot(f, env, budgets, carriers) -> TotalitySpace:
     match f:
         case One() | Bot():
             c = Carrier((UNIT,))
@@ -257,45 +278,51 @@ def _tot(f, env, budgets) -> TotalitySpace:
                 raise UnboundVariable(name)
             return env[name]
         case Neg(b):
-            sb = _tot(b, env, budgets)
+            sb = _tot(b, env, budgets, carriers)
             return TotalitySpace(sb.carrier, orthogonal(sb.family), sb.stabilized)
         case Lolli(_, _):
             raise UnsupportedConstructor("lolli", "totality")
         case Tensor(a, b):
-            sa, sb = _tot(a, env, budgets), _tot(b, env, budgets)
-            return _tensor(sa, sb, budgets)
+            sa = _tot(a, env, budgets, carriers)
+            sb = _tot(b, env, budgets, carriers)
+            return _tensor(sa, sb, budgets, carriers)
         case Par(a, b):
-            sa, sb = _tot(a, env, budgets), _tot(b, env, budgets)
-            dual = _tensor(_dual(sa), _dual(sb), budgets)
+            sa = _tot(a, env, budgets, carriers)
+            sb = _tot(b, env, budgets, carriers)
+            dual = _tensor(_dual(sa), _dual(sb), budgets, carriers)
             return TotalitySpace(dual.carrier, orthogonal(dual.family),
                                  dual.stabilized)
         case Plus(a, b):
-            sa, sb = _tot(a, env, budgets), _tot(b, env, budgets)
-            carrier = _sum_c(sa.carrier, sb.carrier)
+            sa = _tot(a, env, budgets, carriers)
+            sb = _tot(b, env, budgets, carriers)
+            carrier = _derived(carriers, sum_carrier,
+                               sa.carrier, sb.carrier)
             minima = [carrier.mask_of(frozenset(InL(e) for e in s))
                       for s in sa.family.min_sets()]
             minima += [carrier.mask_of(frozenset(InR(e) for e in s))
                        for s in sb.family.min_sets()]
             return _space(carrier, minima, sa.stabilized and sb.stabilized)
         case With(a, b):
-            sa, sb = _tot(a, env, budgets), _tot(b, env, budgets)
-            carrier = _sum_c(sa.carrier, sb.carrier)
+            sa = _tot(a, env, budgets, carriers)
+            sb = _tot(b, env, budgets, carriers)
+            carrier = _derived(carriers, sum_carrier,
+                               sa.carrier, sb.carrier)
             minima = [carrier.mask_of(frozenset(InL(e) for e in x)
                                       | frozenset(InR(e) for e in y))
                       for x in sa.family.min_sets()
                       for y in sb.family.min_sets()]
             return _space(carrier, minima, sa.stabilized and sb.stabilized)
         case OfCourse(b):
-            return _bang(_tot(b, env, budgets), budgets)
+            return _bang(_tot(b, env, budgets, carriers), budgets, carriers)
         case WhyNot(b):
-            sb = _tot(b, env, budgets)
-            dual = _bang(_dual(sb), budgets)
+            sb = _tot(b, env, budgets, carriers)
+            dual = _bang(_dual(sb), budgets, carriers)
             return TotalitySpace(dual.carrier, orthogonal(dual.family),
                                  dual.stabilized)
         case Mu(x, b):
-            return _fix(x, b, env, budgets, least=True)
+            return _fix(x, b, env, budgets, carriers, least=True)
         case Nu(x, b):
-            return _fix(x, b, env, budgets, least=False)
+            return _fix(x, b, env, budgets, carriers, least=False)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -303,33 +330,26 @@ def _dual(s: TotalitySpace) -> TotalitySpace:
     return TotalitySpace(s.carrier, orthogonal(s.family), s.stabilized)
 
 
-def _sum_c(a: Carrier, b: Carrier) -> Carrier:
-    return Carrier([InL(e) for e in a] + [InR(e) for e in b],
-                   stabilized=a.stabilized and b.stabilized)
-
-
-def _tensor(sa: TotalitySpace, sb: TotalitySpace,
-            budgets=DEFAULT_BUDGETS) -> TotalitySpace:
+def _tensor(sa: TotalitySpace, sb: TotalitySpace, budgets,
+            carriers) -> TotalitySpace:
     if len(sa.carrier) * len(sb.carrier) > budgets.carrier_cap:
         raise BudgetExceeded(
             f"product carrier of size {len(sa.carrier) * len(sb.carrier)} "
             f"exceeds cap {budgets.carrier_cap}")
-    carrier = Carrier((Pair(x, y) for x in sa.carrier for y in sb.carrier),
-                      stabilized=sa.carrier.stabilized and sb.carrier.stabilized)
+    carrier = _derived(carriers, pair_carrier, sa.carrier, sb.carrier)
     minima = [carrier.mask_of(frozenset(Pair(p, q) for p in x for q in y))
               for x in sa.family.min_sets() for y in sb.family.min_sets()]
     return _space(carrier, minima, sa.stabilized and sb.stabilized)
 
 
-def _bang(s: TotalitySpace, budgets) -> TotalitySpace:
-    n = len(s.carrier)
-    bag_count = sum(comb(n + i - 1, i) for i in range(budgets.bag + 1))
+def _bang(s: TotalitySpace, budgets, carriers) -> TotalitySpace:
+    # multisets of size at most k over n elements: C(n + k, k)
+    bag_count = comb(len(s.carrier) + budgets.bag, budgets.bag)
     if bag_count > budgets.carrier_cap:
         raise BudgetExceeded(
             f"multiset carrier of size {bag_count} exceeds cap "
             f"{budgets.carrier_cap}")
-    carrier = Carrier(bags_over(s.carrier, budgets.bag),
-                      stabilized=s.carrier.stabilized)
+    carrier = _derived(carriers, _bag_carrier, s.carrier, budgets.bag)
     minima = []
     for x in s.family.min_sets():
         bags = frozenset(bags_over(x, budgets.bag))
@@ -337,25 +357,25 @@ def _bang(s: TotalitySpace, budgets) -> TotalitySpace:
     return _space(carrier, minima, s.stabilized)
 
 
-def _fix(x, body, env, budgets, least):
+def _fix(x, body, env, budgets, carriers, least):
     """Fixpoint totality at the current truncation depth.
 
     The stabilization flag compares the antichain against the run at
     depth k-1, restricted to elements of fold depth < k-1.
     """
-    space = _fix_at(x, body, env, budgets, least)
+    space = _fix_at(x, body, env, budgets, carriers, least)
     if budgets.depth == 0:
         return space
     prev_budgets = Budgets(budgets.depth - 1, budgets.bag,
                            budgets.carrier_cap, budgets.iter_cap)
-    prev = _fix_at(x, body, env, prev_budgets, least)
+    prev = _fix_at(x, body, env, prev_budgets, carriers, least)
     bound = budgets.depth - 1
     stable = (restrict_antichain(space.family, bound)
               == restrict_antichain(prev.family, bound)) and space.stabilized
     return TotalitySpace(space.carrier, space.family, stable)
 
 
-def _fix_at(x, body, env, budgets, least):
+def _fix_at(x, body, env, budgets, carriers, least):
     fix_formula = Mu(x, body) if least else Nu(x, body)
     carrier_env = {name: s.carrier for name, s in env.items()}
     carrier = interpret_carrier(fix_formula, carrier_env, budgets)
@@ -366,7 +386,7 @@ def _fix_at(x, body, env, budgets, least):
     inner_stable = True
     for _ in range(budgets.iter_cap):
         arg = TotalitySpace(carrier, fam)
-        body_space = _tot(body, {**env, x: arg}, budgets)
+        body_space = _tot(body, {**env, x: arg}, budgets, carriers)
         inner_stable = inner_stable and body_space.stabilized
         nxt = _reindex_along_fold(carrier, body_space)
         if nxt == fam:

@@ -45,6 +45,13 @@ class TestVariance:
         assert code == 1
         assert "variance" in err
 
+    @pytest.mark.parametrize("text", ["!" * 3000 + "1",
+                                      "(" * 3000 + "1" + ")" * 3000])
+    def test_deep_nesting_is_input_error(self, capsys, text):
+        code, _, err = run(capsys, "variance", text)
+        assert code == 2
+        assert "nested deeper than" in err and "offset 100" in err
+
     def test_parse_error_is_input(self, capsys):
         code, _, err = run(capsys, "variance", "mu x. x +")
         assert code == 2
@@ -66,6 +73,14 @@ class TestInterp:
         assert code == 0
         assert len(data["minimal_antichain"]) == 3
         assert data["stabilized"] is True
+
+    @pytest.mark.parametrize("text", ["!0", "?0"])
+    def test_exponential_of_empty_carrier(self, capsys, text):
+        # the empty carrier has exactly one bag, the empty one
+        code, data, err = run_json(capsys, "interp", "--model", "totality",
+                                   text)
+        assert code == 0, err
+        assert data["carrier"] == ["[]"]
 
     def test_phase_with_space(self, capsys, tmp_path):
         space = tmp_path / "sign.ph"
@@ -147,6 +162,17 @@ class TestFix:
         expr.write_text(WALK)
         code, _, err = run(capsys, "fix", "--expr", str(expr), "--tol", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_tolerance_is_input_error(self, capsys, tmp_path,
+                                                 tol, mode):
+        expr = tmp_path / "walk.fx"
+        expr.write_text(WALK)
+        code, out, err = run(capsys, "fix", "--expr", str(expr),
+                             f"--tol={tol}", "--mode", mode)
+        assert code == 2
+        assert out == "" and "--tol" in err
 
 
 class TestPolar:

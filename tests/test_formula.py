@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from mullsem.errors import ParseError, UnboundVariable, VarianceError
-from mullsem.formula import (Bot, Context, EMPTY_CONTEXT, Lolli, Mu, Neg, Nu,
-                             OfCourse, One, Par, Plus, Sort, Tensor, Top, Var,
-                             WhyNot, With, Zero, alpha_eq, check_variance,
-                             free_vars, nnf, parse, substitute, to_text)
+from mullsem.budgets import Budgets
+from mullsem.errors import (BudgetExceeded, CarrierTooLarge, ParseError,
+                            UnboundVariable, VarianceError)
+from mullsem.formula import (Bot, Context, EMPTY_CONTEXT, Lolli, MAX_NESTING,
+                             Mu, Neg, Nu, OfCourse, One, Par, Plus, Sort,
+                             Tensor, Top, Var, WhyNot, With, Zero, alpha_eq,
+                             check_variance, free_vars, nnf, parse,
+                             substitute, to_text)
+from mullsem.relmodel import interpret_carrier
+from mullsem.totality import interpret_totality
 
 POS, NEG = Sort.POS, Sort.NEG
 
@@ -68,6 +73,52 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse("")
         assert info.value.offset == 0
+
+
+class TestNestingLimit:
+    # the error points at the operator or bracket one level too deep
+    @pytest.mark.parametrize("text, offset", [
+        ("!" * 3000 + "1", MAX_NESTING),
+        ("(" * 3000 + "1" + ")" * 3000, MAX_NESTING),
+        ("1 -o " * 3000 + "1", 5 * MAX_NESTING + 2),
+        ("mu x. " * 3000 + "x", 6 * MAX_NESTING),
+        # left-associative chains nest without parser recursion
+        (" * ".join(["1"] * 3000), 4 * MAX_NESTING + 2),
+        # 60 brackets around 60 sums, then the 41st tensor is one too many
+        ("(" * 60 + "1" + " + 1)" * 60 + " * 1" * 60,
+         60 + 1 + 5 * 60 + 4 * 40 + 1),
+    ], ids=["bang", "parens", "lolli", "binders", "chain", "mixed"])
+    def test_too_deep_is_positioned_parse_error(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert "nested deeper than" in str(info.value)
+        assert info.value.offset == offset and info.value.line == 1
+
+    @pytest.mark.parametrize("text", [
+        "!" * MAX_NESTING + "1",
+        "~" * MAX_NESTING + "1",
+        "?" * MAX_NESTING + "bot",
+        "(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+        "1 -o " * MAX_NESTING + "1",
+        " * ".join(["1"] * (MAX_NESTING + 1)),
+        "".join(f"mu x{i}. " for i in range(MAX_NESTING)) + "1",
+    ], ids=["bang", "neg", "whynot", "parens", "lolli", "chain", "binders"])
+    def test_recursive_passes_fit_at_the_limit(self, text):
+        f = parse(text)
+        assert parse(to_text(f)) == f
+        nnf(Neg(f))
+        budgets = Budgets(depth=1, bag=0)
+        interpret_carrier(f, budgets=budgets)
+        if "mu" in text:
+            # check_variance tries both sorts under every binder, so its
+            # time doubles with each one
+            return
+        check_variance(EMPTY_CONTEXT, f)
+        if "-o" not in text:  # the totality model rejects lolli
+            try:
+                interpret_totality(f, {}, budgets)
+            except (BudgetExceeded, CarrierTooLarge):
+                pass
 
 
 def random_formula(rng, depth, scope):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product as iproduct
 
@@ -7,9 +8,10 @@ from mullsem.budgets import Budgets
 from mullsem.errors import BudgetExceeded, CarrierMismatch
 from mullsem.formula import Neg, nnf, parse
 from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
-                              UNIT, bags_over, compose_rel, copoint,
+                              UNIT, Unit, bags_over, compose_rel, copoint,
                               fold_depth, functor_on_relations,
-                              identity_rel, interpret_carrier, point)
+                              identity_rel, interpret_carrier, point,
+                              sort_key)
 
 
 def rel(src, tgt, pairs):
@@ -239,11 +241,108 @@ class TestPointsAndDepth:
         assert len(out) == 1 + 2 + 3
 
 
+def _recursive_sort_key(e):
+    """The element order as a key recomputed on every call (reference)."""
+    match e:
+        case Unit():
+            return (0,)
+        case InL(v):
+            return (1, _recursive_sort_key(v))
+        case InR(v):
+            return (2, _recursive_sort_key(v))
+        case Pair(a, b):
+            return (3, _recursive_sort_key(a), _recursive_sort_key(b))
+        case Bag(items):
+            return (4, len(items),
+                    tuple(_recursive_sort_key(i) for i in items))
+        case Fold(v):
+            return (5, _recursive_sort_key(v))
+    return (-1, repr(e))
+
+
+def _random_elem(rng, depth):
+    """A random nested element; plain labels (str or int) at the leaves."""
+    kind = rng.choice(["label", "unit", "inl", "inr", "fold", "pair", "bag"]
+                      if depth else ["label", "unit"])
+    if kind == "label":
+        return rng.choice(["a", "b", "c", 0, 1, 2])
+    if kind == "unit":
+        return UNIT
+    if kind == "pair":
+        return Pair(_random_elem(rng, depth - 1), _random_elem(rng, depth - 1))
+    if kind == "bag":
+        return Bag(tuple(_random_elem(rng, depth - 1)
+                         for _ in range(rng.randrange(3))))
+    ctor = {"inl": InL, "inr": InR, "fold": Fold}[kind]
+    return ctor(_random_elem(rng, depth - 1))
+
+
+def _rebuild(e):
+    """A structurally equal element made of freshly constructed parts."""
+    match e:
+        case Unit():
+            return Unit()
+        case InL(v) | InR(v) | Fold(v):
+            return type(e)(_rebuild(v))
+        case Pair(a, b):
+            return Pair(_rebuild(a), _rebuild(b))
+        case Bag(items):
+            return Bag(tuple(_rebuild(i) for i in reversed(items)))
+    return e
+
+
 class TestElemInvariants:
     def test_bag_equality_is_multiset_equality(self):
         assert Bag(("b", "a")) == Bag(("a", "b"))
         assert Bag(("a", "a", "b")) != Bag(("a", "b", "b"))
         assert hash(Bag(("b", "a"))) == hash(Bag(("a", "b")))
+
+    def test_pair_with_equal_labels(self):
+        x = InL(UNIT)
+        assert Pair(1, x) == Pair(1.0, x)
+        assert hash(Pair(1, x)) == hash(Pair(1.0, x))
+
+    def test_injections_and_fold_pairwise_unequal(self):
+        x = Pair(UNIT, "a")
+        wrapped = [InL(x), InR(x), Fold(x)]
+        for i, a in enumerate(wrapped):
+            for j, b in enumerate(wrapped):
+                assert (a == b) == (i == j)
+                assert (a != b) == (i != j)
+
+    def test_bag_items_in_canonical_order(self):
+        items = (Fold(UNIT), InR(UNIT), "b", Pair(UNIT, UNIT), InL(UNIT),
+                 UNIT, "a", InL(UNIT))
+        expected = ("a", "b", UNIT, InL(UNIT), InL(UNIT), InR(UNIT),
+                    Pair(UNIT, UNIT), Fold(UNIT))
+        rng = random.Random(5)
+        for _ in range(20):
+            shuffled = list(items)
+            rng.shuffle(shuffled)
+            bag = Bag(tuple(shuffled))
+            assert bag.items == expected
+            assert bag == Bag(items) and hash(bag) == hash(Bag(items))
+
+    def test_cached_key_orders_like_recursive_key(self):
+        rng = random.Random(20261018)
+        elems = [_random_elem(rng, 4) for _ in range(80)]
+        old = [_recursive_sort_key(e) for e in elems]
+        new = [sort_key(e) for e in elems]
+        for i in range(len(elems)):
+            for j in range(len(elems)):
+                assert (old[i] < old[j]) == (new[i] < new[j]), \
+                    (elems[i], elems[j])
+        assert sorted(elems, key=sort_key) == \
+            sorted(elems, key=_recursive_sort_key)
+
+    def test_equal_structure_gives_equal_hash(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            e = _random_elem(rng, 4)
+            copy = _rebuild(e)
+            assert copy == e and hash(copy) == hash(e)
+            assert sort_key(copy) == sort_key(e)
+            assert pickle.loads(pickle.dumps(e)) == e
 
     def test_relation_pairs_validated(self):
         a = Carrier(["x"])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import (brute_biclosure, brute_orthogonal, brute_upward_closure,
@@ -6,10 +8,11 @@ from mullsem.budgets import Budgets
 from mullsem.errors import CarrierTooLarge, UnsupportedConstructor
 from mullsem.formula import parse, substitute
 from mullsem.relmodel import (Carrier, Fold, InL, InR, Relation, UNIT,
-                              identity_rel)
-from mullsem.totality import (TotalitySpace, UpFamily, biclosure,
-                              check_total_morphism, enumerate_families,
-                              family_lattice, interpret_totality, orthogonal,
+                              identity_rel, pair_carrier, sum_carrier)
+from mullsem.totality import (TotalitySpace, UpFamily, _bag_carrier, _derived,
+                              biclosure, check_total_morphism,
+                              enumerate_families, family_lattice,
+                              interpret_totality, orthogonal,
                               restrict_antichain)
 
 
@@ -361,3 +364,35 @@ class TestForgetfulStrictness:
             tot = interpret_totality(f, {}, budgets)
             rel = interpret_carrier(f, {}, budgets)
             assert tot.carrier == rel, text
+
+
+class TestDerivedCarriers:
+    def test_headline_nested_fixpoint_unchanged(self):
+        # values recorded before carriers were shared across iterations
+        space = interpret_totality(parse("mu x. nu y. 1 + x * y"), {},
+                                   Budgets(depth=3, bag=2))
+        carrier = [str(e) for e in space.carrier]
+        assert len(carrier) == 13
+        assert carrier[0] == "fold(fold(inl(())))"
+        assert hashlib.sha256("\n".join(carrier).encode()).hexdigest() == \
+            "8ed31a3f31371f3d147c62c9e7df6a5470123ba4ed6c4ad75ab4b63c020c36dd"
+        assert [sorted(str(e) for e in s)
+                for s in space.family.min_sets()] == [[]]
+        assert space.stabilized is True
+
+    def test_reuse_keeps_stabilized_flag(self):
+        carriers = {}
+        closed = Carrier((UNIT, "a"))
+        opened = Carrier((UNIT, "a"), stabilized=False)
+        assert closed == opened
+        for build in (pair_carrier, sum_carrier):
+            first = _derived(carriers, build, closed, closed)
+            assert first.stabilized is True
+            assert _derived(carriers, build, closed, opened).stabilized \
+                is False
+            assert _derived(carriers, build, opened, closed).stabilized \
+                is False
+            assert _derived(carriers, build, closed, closed) is first
+        assert _derived(carriers, _bag_carrier, opened, 2).stabilized is False
+        assert _derived(carriers, _bag_carrier, closed, 2).stabilized is True
+        assert len(_derived(carriers, _bag_carrier, closed, 1)) == 3
