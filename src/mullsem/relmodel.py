@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (BudgetExceeded, CarrierMismatch, UnboundVariable,
@@ -133,21 +134,32 @@ def fold_depth(e) -> int:
     return 0
 
 
-def render_elem(e: Elem) -> str:
-    match e:
-        case Unit():
-            return "()"
-        case InL(v):
-            return f"inl({render_elem(v)})"
-        case InR(v):
-            return f"inr({render_elem(v)})"
-        case Pair(a, b):
-            return f"({render_elem(a)},{render_elem(b)})"
-        case Bag(items):
-            return "[" + ",".join(render_elem(i) for i in items) + "]"
-        case Fold(v):
-            return f"fold({render_elem(v)})"
+def render_elem(e) -> str:
+    # one frame per level, most frequent constructors first
+    t = type(e)
+    if t is Fold:
+        return f"fold({render_elem(e.value)})"
+    if t is InR:
+        return f"inr({render_elem(e.value)})"
+    if t is InL:
+        return f"inl({render_elem(e.value)})"
+    if t is Pair:
+        return f"({render_elem(e.first)},{render_elem(e.second)})"
+    if t is Unit:
+        return "()"
+    if t is Bag:
+        return "[" + ",".join(map(render_elem, e.items)) + "]"
     return str(e)
+
+
+def bit_indices(mask: int) -> list:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Carrier:
@@ -161,12 +173,25 @@ class Carrier:
     __slots__ = ("elems", "stabilized", "_index")
 
     def __init__(self, elems, stabilized=True):
-        # dict.fromkeys drops duplicates but keeps the input order, so the
-        # runs that product and sum generators yield in key order survive
-        # into sorted, where a set would shuffle them
+        # dict.fromkeys drops duplicates but keeps the input order, so
+        # already-ordered runs survive into sorted, where a set would
+        # shuffle them
         self.elems = tuple(sorted(dict.fromkeys(elems), key=sort_key))
         self.stabilized = stabilized
         self._index = None
+
+    @classmethod
+    def _ordered(cls, elems: tuple, stabilized=True) -> "Carrier":
+        """Carrier of distinct elements already in ``sort_key`` order.
+
+        The builders of this module produce their elements in that order
+        by construction, so they skip the sort and the duplicate check.
+        """
+        carrier = object.__new__(cls)
+        carrier.elems = elems
+        carrier.stabilized = stabilized
+        carrier._index = None
+        return carrier
 
     def index(self, e: Elem) -> int:
         if self._index is None:
@@ -180,7 +205,8 @@ class Carrier:
         return m
 
     def set_of(self, mask: int) -> frozenset:
-        return frozenset(e for i, e in enumerate(self.elems) if mask >> i & 1)
+        elems = self.elems
+        return frozenset([elems[i] for i in bit_indices(mask)])
 
     def __contains__(self, e):
         return e in self.as_set()
@@ -205,8 +231,8 @@ class Carrier:
         return f"Carrier{{{inner}}}"
 
 
-EMPTY_CARRIER = Carrier(())
-UNIT_CARRIER = Carrier((UNIT,))
+EMPTY_CARRIER = Carrier._ordered(())
+UNIT_CARRIER = Carrier._ordered((UNIT,))
 
 
 @dataclass(frozen=True)
@@ -266,12 +292,24 @@ def copoint(carrier: Carrier, subset) -> Relation:
 
 def bags_over(elems, max_size: int):
     """All multisets of the given elements with size <= max_size."""
-    base = sorted(elems, key=sort_key)
-    out = []
-    for n in range(max_size + 1):
-        for combo in combinations_with_replacement(base, n):
-            out.append(Bag(combo))
-    return out
+    return list(_bags(sorted(elems, key=sort_key), max_size))
+
+
+def _bags(base, max_size: int) -> tuple:
+    # over a base in sort_key order, combinations_with_replacement yields
+    # each size's bags in key order, and sizes are emitted in key order
+    return tuple([Bag(combo) for n in range(max_size + 1)
+                  for combo in combinations_with_replacement(base, n)])
+
+
+def _pairs(a, b) -> tuple:
+    # Pair(a[i], b[j]) sits at index i * len(b) + j, in key order
+    return tuple([Pair(x, y) for x in a for y in b])
+
+
+def _tagged(a, b) -> tuple:
+    # InL(a[i]) at index i, then InR(b[j]) at len(a) + j, in key order
+    return tuple([InL(x) for x in a] + [InR(y) for y in b])
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +323,29 @@ def interpret_carrier(f: Formula, env=None, budgets: Budgets = DEFAULT_BUDGETS,
     truncated at ``budgets.depth``; ! and ? produce bags of size at most
     ``budgets.bag``.
     """
-    env = {name: c.as_set() for name, c in (env or {}).items()}
+    env = {name: c.elems for name, c in (env or {}).items()}
     elems, stable = _interp(f, env, budgets)
-    return Carrier(elems, stabilized=stable)
+    return Carrier._ordered(elems, stabilized=stable)
 
 
-def _guard(elems, budgets):
-    if len(elems) > budgets.carrier_cap:
+def _guard(size, budgets):
+    """Raise before a carrier of the predicted size is built."""
+    if size > budgets.carrier_cap:
         raise BudgetExceeded(
-            f"carrier of size {len(elems)} exceeds cap {budgets.carrier_cap}")
-    return elems
+            f"carrier of size {size} exceeds cap {budgets.carrier_cap}")
 
 
 def _interp(f, env, budgets):
+    """Elements of f as a tuple in sort_key order, and the stable flag."""
     match f:
         case One() | Bot():
-            return frozenset((UNIT,)), True
+            return (UNIT,), True
         case Zero() | Top():
-            return frozenset(), True
+            return (), True
         case Var(name):
             if name not in env:
                 raise UnboundVariable(name)
-            return frozenset(env[name]), True
+            return env[name], True
         case Neg(b):
             return _interp(b, env, budgets)
         case Lolli(a, b):
@@ -314,31 +353,36 @@ def _interp(f, env, budgets):
         case Tensor(a, b) | Par(a, b):
             sa, ka = _interp(a, env, budgets)
             sb, kb = _interp(b, env, budgets)
-            prod = frozenset(Pair(x, y) for x in sa for y in sb)
-            return _guard(prod, budgets), ka and kb
+            _guard(len(sa) * len(sb), budgets)
+            return _pairs(sa, sb), ka and kb
         case Plus(a, b) | With(a, b):
             sa, ka = _interp(a, env, budgets)
             sb, kb = _interp(b, env, budgets)
-            tagged = frozenset(InL(x) for x in sa) | frozenset(InR(y) for y in sb)
-            return _guard(tagged, budgets), ka and kb
+            _guard(len(sa) + len(sb), budgets)
+            return _tagged(sa, sb), ka and kb
         case OfCourse(b) | WhyNot(b):
             sb, kb = _interp(b, env, budgets)
-            return _guard(frozenset(bags_over(sb, budgets.bag)), budgets), kb
+            # multisets of size at most k over n elements: C(n + k, k)
+            _guard(comb(len(sb) + budgets.bag, budgets.bag), budgets)
+            return _bags(sb, budgets.bag), kb
         case Mu(x, b) | Nu(x, b):
             return _fixpoint_carrier(x, b, env, budgets)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _fixpoint_carrier(x, body, env, budgets):
-    cur = frozenset()
+    cur = ()
     inner_stable = True
     stabilized = False
     for _ in range(budgets.depth):
         layer, ok = _interp(body, {**env, x: cur}, budgets)
         inner_stable = inner_stable and ok
-        nxt = frozenset(Fold(e) for e in layer)
-        _guard(nxt, budgets)
-        if nxt == cur:
+        _guard(len(layer), budgets)
+        # Fold keeps its argument's order
+        nxt = tuple([Fold(e) for e in layer])
+        # every connective is monotone in x, so the chain only grows and
+        # an iterate with no new element equals its predecessor
+        if len(nxt) == len(cur):
             stabilized = True
             break
         cur = nxt
@@ -399,8 +443,8 @@ def _act(f, rels, budgets) -> Relation:
                 for combo in combinations_with_replacement(base, n):
                     pairs.add((Bag(tuple(p[0] for p in combo)),
                                Bag(tuple(p[1] for p in combo))))
-            return Relation(Carrier(bags_over(rb.src, budgets.bag)),
-                            Carrier(bags_over(rb.tgt, budgets.bag)),
+            return Relation(bag_carrier(rb.src, budgets.bag),
+                            bag_carrier(rb.tgt, budgets.bag),
                             frozenset(pairs))
         case Mu(yvar, b) | Nu(yvar, b):
             return _fixpoint_action(yvar, b, rels, budgets)
@@ -408,13 +452,34 @@ def _act(f, rels, budgets) -> Relation:
 
 
 def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
-    return Carrier((Pair(x, y) for x in a for y in b),
-                   stabilized=a.stabilized and b.stabilized)
+    """The product carrier, in canonical order.
+
+    ``Pair(a[i], b[j])`` has index ``i * len(b) + j``.
+    """
+    return Carrier._ordered(_pairs(a.elems, b.elems),
+                            a.stabilized and b.stabilized)
 
 
 def sum_carrier(a: Carrier, b: Carrier) -> Carrier:
-    elems = [InL(x) for x in a] + [InR(y) for y in b]
-    return Carrier(elems, stabilized=a.stabilized and b.stabilized)
+    """The disjoint-sum carrier, in canonical order.
+
+    ``InL(a[i])`` has index ``i`` and ``InR(b[j])`` index ``len(a) + j``.
+    """
+    return Carrier._ordered(_tagged(a.elems, b.elems),
+                            a.stabilized and b.stabilized)
+
+
+def bag_carrier(c: Carrier, max_size: int) -> Carrier:
+    """Multisets of size <= max_size over c, in canonical order.
+
+    Bags come by size, then in ``combinations_with_replacement`` order
+    of their members' indices in c.
+    """
+    return Carrier._ordered(_bags(c.elems, max_size), c.stabilized)
+
+
+def _folded(c: Carrier) -> Carrier:
+    return Carrier._ordered(tuple([Fold(e) for e in c.elems]), c.stabilized)
 
 
 def _fixpoint_action(yvar, body, rels, budgets):
@@ -422,8 +487,7 @@ def _fixpoint_action(yvar, body, rels, budgets):
     for _ in range(budgets.depth):
         layer = _act(body, {**rels, yvar: cur}, budgets)
         nxt = Relation(
-            Carrier((Fold(e) for e in layer.src), layer.src.stabilized),
-            Carrier((Fold(e) for e in layer.tgt), layer.tgt.stabilized),
+            _folded(layer.src), _folded(layer.tgt),
             frozenset((Fold(a), Fold(b)) for a, b in layer.pairs))
         if nxt == cur:
             break

@@ -9,7 +9,7 @@ of the fold-reindexed body operator on the family lattice.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 from math import comb
 
@@ -20,9 +20,9 @@ from .errors import (BudgetExceeded, CarrierMismatch, CarrierTooLarge,
                      UnsupportedConstructor)
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       Plus, Tensor, Top, Var, WhyNot, With, Zero)
-from .relmodel import (Carrier, Fold, InL, InR, Pair, Relation, UNIT,
-                       bags_over, fold_depth, interpret_carrier,
-                       pair_carrier, sum_carrier)
+from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER,
+                       bag_carrier, bit_indices, fold_depth,
+                       interpret_carrier, pair_carrier, sum_carrier)
 
 TRANSVERSAL_BOUND = 12
 
@@ -31,7 +31,11 @@ class UpFamily:
     """An up-closed (equivalently bipolar-closed) family of subsets.
 
     Stored as the antichain of minimal members, as bitmasks relative to
-    the carrier's canonical element order.
+    the carrier's canonical element order: bit i stands for
+    ``carrier.elems[i]``.  The carrier builders fix that order (see
+    ``pair_carrier``, ``sum_carrier`` and ``bag_carrier``), so the
+    minima of a product or sum are computed from its factors' minima by
+    index arithmetic alone.
     """
 
     __slots__ = ("carrier", "minima")
@@ -43,6 +47,19 @@ class UpFamily:
             raise ValueError("minima must form an antichain; "
                              "use biclosure() to normalize")
         self.minima = minima
+
+    @classmethod
+    def _trusted(cls, carrier: Carrier, minima: tuple) -> "UpFamily":
+        """Family of minima known to be a sorted duplicate-free antichain.
+
+        For kernel output and for minima that are antichains by
+        construction; everything else goes through the checking
+        constructor.
+        """
+        family = object.__new__(cls)
+        family.carrier = carrier
+        family.minima = minima
+        return family
 
     @classmethod
     def empty(cls, carrier):
@@ -80,14 +97,14 @@ class UpFamily:
         if self.carrier != other.carrier:
             raise CarrierMismatch("families live on different carriers")
         unions = [a | b for a in self.minima for b in other.minima]
-        return UpFamily(self.carrier, kernels.minimize_family(unions))
+        return UpFamily._trusted(self.carrier, kernels.minimize_family(unions))
 
     def join(self, other: "UpFamily") -> "UpFamily":
         """Family union (already bipolar closed on finite carriers)."""
         if self.carrier != other.carrier:
             raise CarrierMismatch("families live on different carriers")
-        return UpFamily(self.carrier,
-                        kernels.minimize_family(self.minima + other.minima))
+        return UpFamily._trusted(
+            self.carrier, kernels.minimize_family(self.minima + other.minima))
 
     def __eq__(self, other):
         return (isinstance(other, UpFamily)
@@ -114,8 +131,8 @@ def orthogonal(family: UpFamily, max_carrier: int = TRANSVERSAL_BOUND) -> UpFami
     n = len(family.carrier)
     if n > max_carrier:
         raise CarrierTooLarge(n, max_carrier)
-    return UpFamily(family.carrier,
-                    kernels.minimal_transversals(family.minima, n))
+    return UpFamily._trusted(family.carrier,
+                             kernels.minimal_transversals(family.minima, n))
 
 
 def biclosure(carrier: Carrier, sets, max_carrier: int = TRANSVERSAL_BOUND,
@@ -128,7 +145,7 @@ def biclosure(carrier: Carrier, sets, max_carrier: int = TRANSVERSAL_BOUND,
     if len(carrier) > max_carrier:
         raise CarrierTooLarge(len(carrier), max_carrier)
     masks = [carrier.mask_of(s) for s in sets]
-    return UpFamily(carrier, kernels.minimize_family(masks))
+    return UpFamily._trusted(carrier, kernels.minimize_family(masks))
 
 
 class TotalitySpace:
@@ -191,7 +208,7 @@ def preimage_family(r: Relation, fam: UpFamily) -> UpFamily:
             candidates.add(src.mask_of(combo))
         if not mset:
             candidates.add(0)
-    return UpFamily(src, kernels.minimize_family(candidates))
+    return UpFamily._trusted(src, kernels.minimize_family(candidates))
 
 
 def direct_image_family(r: Relation, fam: UpFamily) -> UpFamily:
@@ -211,7 +228,7 @@ def enumerate_families(carrier: Carrier):
     for choice in range(1 << len(subsets)):
         minima = tuple(m for i, m in enumerate(subsets) if choice >> i & 1)
         if kernels.is_antichain(minima):
-            out.append(UpFamily(carrier, minima))
+            out.append(UpFamily._trusted(carrier, minima))
     return out
 
 
@@ -239,8 +256,14 @@ def interpret_totality(f: Formula, env=None,
 
 
 def _space(carrier, minima, stabilized=True):
-    return TotalitySpace(carrier,
-                         UpFamily(carrier, kernels.minimize_family(minima)),
+    return TotalitySpace(
+        carrier, UpFamily._trusted(carrier, kernels.minimize_family(minima)),
+        stabilized)
+
+
+def _antichain_space(carrier, minima: tuple, stabilized=True):
+    """Space whose minima are a sorted antichain by construction."""
+    return TotalitySpace(carrier, UpFamily._trusted(carrier, minima),
                          stabilized)
 
 
@@ -260,19 +283,21 @@ def _derived(carriers: dict, build, *args) -> Carrier:
     return carrier
 
 
-def _bag_carrier(c: Carrier, max_size: int) -> Carrier:
-    return Carrier(bags_over(c, max_size), stabilized=c.stabilized)
+def _bag_supports(n: int, max_size: int) -> tuple:
+    """Member masks of the bags over n elements, in ``bag_carrier`` order."""
+    return tuple([sum({1 << i for i in combo})
+                  for k in range(max_size + 1)
+                  for combo in combinations_with_replacement(range(n), k)])
 
 
 def _tot(f, env, budgets, carriers) -> TotalitySpace:
     match f:
         case One() | Bot():
-            c = Carrier((UNIT,))
-            return _space(c, (1,))
+            return _antichain_space(UNIT_CARRIER, (1,))
         case Zero():
-            return _space(Carrier(()), ())
+            return TotalitySpace(EMPTY_CARRIER, UpFamily.empty(EMPTY_CARRIER))
         case Top():
-            return _space(Carrier(()), (0,))
+            return TotalitySpace(EMPTY_CARRIER, UpFamily.full(EMPTY_CARRIER))
         case Var(name):
             if name not in env:
                 raise UnboundVariable(name)
@@ -297,21 +322,27 @@ def _tot(f, env, budgets, carriers) -> TotalitySpace:
             sb = _tot(b, env, budgets, carriers)
             carrier = _derived(carriers, sum_carrier,
                                sa.carrier, sb.carrier)
-            minima = [carrier.mask_of(frozenset(InL(e) for e in s))
-                      for s in sa.family.min_sets()]
-            minima += [carrier.mask_of(frozenset(InR(e) for e in s))
-                       for s in sb.family.min_sets()]
-            return _space(carrier, minima, sa.stabilized and sb.stabilized)
+            if sa.family.is_full_family() or sb.family.is_full_family():
+                minima = (0,)  # the empty set absorbs the other side
+            else:
+                # nonempty minima on disjoint supports, left side first
+                na = len(sa.carrier)
+                minima = sa.family.minima + tuple(m << na
+                                                  for m in sb.family.minima)
+            return _antichain_space(carrier, minima,
+                                    sa.stabilized and sb.stabilized)
         case With(a, b):
             sa = _tot(a, env, budgets, carriers)
             sb = _tot(b, env, budgets, carriers)
             carrier = _derived(carriers, sum_carrier,
                                sa.carrier, sb.carrier)
-            minima = [carrier.mask_of(frozenset(InL(e) for e in x)
-                                      | frozenset(InR(e) for e in y))
-                      for x in sa.family.min_sets()
-                      for y in sb.family.min_sets()]
-            return _space(carrier, minima, sa.stabilized and sb.stabilized)
+            na = len(sa.carrier)
+            # antichains on disjoint supports: their product is an
+            # antichain, and ascending in (y, x) is ascending as masks
+            minima = tuple([x | y << na for y in sb.family.minima
+                            for x in sa.family.minima])
+            return _antichain_space(carrier, minima,
+                                    sa.stabilized and sb.stabilized)
         case OfCourse(b):
             return _bang(_tot(b, env, budgets, carriers), budgets, carriers)
         case WhyNot(b):
@@ -337,9 +368,22 @@ def _tensor(sa: TotalitySpace, sb: TotalitySpace, budgets,
             f"product carrier of size {len(sa.carrier) * len(sb.carrier)} "
             f"exceeds cap {budgets.carrier_cap}")
     carrier = _derived(carriers, pair_carrier, sa.carrier, sb.carrier)
-    minima = [carrier.mask_of(frozenset(Pair(p, q) for p in x for q in y))
-              for x in sa.family.min_sets() for y in sb.family.min_sets()]
-    return _space(carrier, minima, sa.stabilized and sb.stabilized)
+    fa, fb = sa.family, sb.family
+    if fa.is_empty_family() or fb.is_empty_family():
+        minima = ()
+    elif fa.is_full_family() or fb.is_full_family():
+        minima = (0,)  # every product with the empty set is empty
+    else:
+        # x * y is the union of the rows y << i * nb for the members i
+        # of x; on nonempty sets it is monotone and reflects inclusion,
+        # so the products of two antichains form an antichain
+        nb = len(sb.carrier)
+        products = []
+        for x in fa.minima:
+            shifts = [i * nb for i in bit_indices(x)]
+            products += [sum(y << s for s in shifts) for y in fb.minima]
+        minima = tuple(sorted(products))
+    return _antichain_space(carrier, minima, sa.stabilized and sb.stabilized)
 
 
 def _bang(s: TotalitySpace, budgets, carriers) -> TotalitySpace:
@@ -349,11 +393,11 @@ def _bang(s: TotalitySpace, budgets, carriers) -> TotalitySpace:
         raise BudgetExceeded(
             f"multiset carrier of size {bag_count} exceeds cap "
             f"{budgets.carrier_cap}")
-    carrier = _derived(carriers, _bag_carrier, s.carrier, budgets.bag)
-    minima = []
-    for x in s.family.min_sets():
-        bags = frozenset(bags_over(x, budgets.bag))
-        minima.append(carrier.mask_of(bags))
+    carrier = _derived(carriers, bag_carrier, s.carrier, budgets.bag)
+    supports = _derived(carriers, _bag_supports, len(s.carrier), budgets.bag)
+    # x promotes to the bags whose members all lie in x
+    minima = [sum(1 << i for i, sup in enumerate(supports) if sup | x == x)
+              for x in s.family.minima]
     return _space(carrier, minima, s.stabilized)
 
 
@@ -402,13 +446,22 @@ def _reindex_along_fold(carrier: Carrier, body_space: TotalitySpace) -> UpFamily
     layer lands in the body family; on minimal antichains this wraps
     each minimal set and drops those leaving the truncated carrier.
     """
-    available = carrier.as_set()
+    position = {f.value: i for i, f in enumerate(carrier.elems)}
+    # body index -> carrier index of its Fold; increasing where defined,
+    # since Fold keeps the order
+    target = [position.get(e) for e in body_space.carrier.elems]
     minima = []
-    for s in body_space.family.min_sets():
-        wrapped = frozenset(Fold(e) for e in s)
-        if wrapped <= available:
-            minima.append(carrier.mask_of(wrapped))
-    return UpFamily(carrier, kernels.minimize_family(minima))
+    for m in body_space.family.minima:
+        mask = 0
+        for j in bit_indices(m):
+            i = target[j]
+            if i is None:
+                break
+            mask |= 1 << i
+        else:
+            minima.append(mask)
+    # an injective, order-preserving image of a sorted antichain
+    return UpFamily._trusted(carrier, tuple(minima))
 
 
 def restrict_antichain(family: UpFamily, depth_bound: int) -> tuple:

@@ -5,6 +5,7 @@ powerset scans, exhaustive enumeration, Gaussian elimination) without
 touching the code paths under test.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -238,3 +239,25 @@ def brute_commutative_monoid_count(n):
                     best = cand
             tables.add(best)
     return len(tables)
+
+
+# ---------------------------------------------------------------------------
+# formula corpus: one or two binders over units, sums, products and !,
+# as in the totality-fixpoints benchmark grammar
+
+_LEAVES = ("1", "(1 + 1)")
+_SINGLE = ("{L} + x", "{L} + x * x", "{L} + x * {L}", "{L} + !x",
+          "{L} + (x & x)", "{L} + x * (mu y. {L} + y)", "{L} + ?x",
+          "({L} + x) * {L}", "{L} + (x | x)")
+_NESTED = ("{L} + x * y", "{L} + (x + y)", "{L} + !x + y", "{L} + (x & y)",
+           "{L} + y * y + x")
+
+
+def fixpoint_sample(count, seed):
+    """A seeded sample of closed fixpoint formulas, as text."""
+    formulas = [f"{b} x. " + body.format(L=leaf)
+                for body in _SINGLE for b in ("mu", "nu") for leaf in _LEAVES]
+    formulas += [f"{o} x. {i} y. " + body.format(L=leaf)
+                 for body in _NESTED for o in ("mu", "nu")
+                 for i in ("mu", "nu") for leaf in _LEAVES]
+    return random.Random(seed).sample(formulas, count)

@@ -4,14 +4,17 @@ from itertools import product as iproduct
 
 import pytest
 
+from oracles import fixpoint_sample
 from mullsem.budgets import Budgets
 from mullsem.errors import BudgetExceeded, CarrierMismatch
 from mullsem.formula import Neg, nnf, parse
-from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
-                              UNIT, Unit, bags_over, compose_rel, copoint,
-                              fold_depth, functor_on_relations,
-                              identity_rel, interpret_carrier, point,
-                              sort_key)
+from mullsem import relmodel
+from mullsem.relmodel import (Bag, Carrier, EMPTY_CARRIER, Fold, InL, InR,
+                              Pair, Relation, UNIT, Unit, bag_carrier,
+                              bags_over, compose_rel, copoint, fold_depth,
+                              functor_on_relations, identity_rel,
+                              interpret_carrier, pair_carrier, point,
+                              sort_key, sum_carrier)
 
 
 def rel(src, tgt, pairs):
@@ -353,3 +356,118 @@ class TestElemInvariants:
         from mullsem.errors import UnboundVariable
         with pytest.raises(UnboundVariable):
             interpret_carrier(parse("y"))
+
+
+def _sorted_copy(c):
+    """The same elements through the public, sorting constructor."""
+    return Carrier(list(reversed(c.elems)), stabilized=c.stabilized)
+
+
+class TestCanonicalOrder:
+    """Builders emit their elements already in sort_key order, so the
+    sorting public constructor leaves them where they are."""
+
+    def test_grammar_sample_at_depths_3_and_4(self):
+        built = 0
+        for text in fixpoint_sample(30, seed=3):
+            for depth in (3, 4):
+                try:
+                    c = interpret_carrier(parse(text),
+                                          budgets=Budgets(depth=depth, bag=2,
+                                                          carrier_cap=4000))
+                except BudgetExceeded:
+                    continue
+                assert c.elems == _sorted_copy(c).elems, text
+                built += 1
+        assert built >= 40  # 44 of the 60 fit the cap
+
+    def test_derived_carriers(self):
+        labels = Carrier(["b", 2, "a", 10])
+        numerals = Carrier([numeral(i) for i in (3, 0, 2)], stabilized=False)
+        mixed = Carrier([UNIT, "z", Pair("a", UNIT), Bag(("a", "a"))])
+        carriers = [EMPTY_CARRIER, Carrier([UNIT]), labels, numerals, mixed]
+        for a in carriers:
+            for b in carriers:
+                for built in (pair_carrier(a, b), sum_carrier(a, b)):
+                    assert built.elems == _sorted_copy(built).elems
+                    assert built.stabilized == (a.stabilized
+                                                and b.stabilized)
+            for k in range(4):
+                bags = bag_carrier(a, k)
+                assert bags.elems == _sorted_copy(bags).elems
+                assert list(bags.elems) == bags_over(a, k)
+                assert bags.stabilized == a.stabilized
+
+    def test_index_layout(self):
+        a, b = Carrier(["p", "q", "r"]), Carrier([UNIT, "s"])
+        prod = pair_carrier(a, b)
+        total = sum_carrier(a, b)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert prod.index(Pair(x, y)) == i * len(b) + j
+            assert total.index(InL(x)) == i
+        for j, y in enumerate(b):
+            assert total.index(InR(y)) == len(a) + j
+
+    def test_public_constructor_sorts_and_deduplicates(self):
+        c = Carrier([InR(UNIT), "b", InL(UNIT), "a", "b", InR(UNIT)])
+        assert c.elems == ("a", "b", InL(UNIT), InR(UNIT))
+
+    def test_set_of_inverts_mask_of(self):
+        c = Carrier([numeral(i) for i in range(7)])
+        rng = random.Random(5)
+        for _ in range(50):
+            mask = rng.randrange(1 << len(c))
+            subset = c.set_of(mask)
+            assert len(subset) == mask.bit_count()
+            assert c.mask_of(subset) == mask
+
+
+class TestBudgetBeforeWork:
+    """The rel model raises BudgetExceeded from predicted sizes, before
+    it builds a product, sum or bag carrier."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        made = []
+        ctor = getattr(relmodel, name)
+
+        def counted(*args):
+            made.append(1)
+            return ctor(*args)
+        monkeypatch.setattr(relmodel, name, counted)
+        return made
+
+    def test_bags_of_bags(self, monkeypatch):
+        made = self.counting(monkeypatch, "Bag")
+        budgets = Budgets(bag=6)
+        with pytest.raises(BudgetExceeded) as info:
+            interpret_carrier(parse("!!(1+1)"), budgets=budgets)
+        # C(28 + 6, 6) bags of the 28 bags over two elements
+        assert str(info.value) == \
+            "carrier of size 1344904 exceeds cap 20000"
+        assert len(made) <= budgets.carrier_cap
+
+    def test_product(self, monkeypatch):
+        made = self.counting(monkeypatch, "Pair")
+        eleven = "(" + " + ".join(["1"] * 11) + ")"
+        with pytest.raises(BudgetExceeded, match="size 121 exceeds cap 100"):
+            interpret_carrier(parse(f"{eleven} * {eleven}"),
+                              budgets=Budgets(carrier_cap=100))
+        assert made == []
+
+    def test_sum(self, monkeypatch):
+        made = self.counting(monkeypatch, "InR")
+        nine = "(" + " + ".join(["1"] * 9) + ")"
+        # two bag carriers of C(9 + 2, 2) = 55 bags each
+        with pytest.raises(BudgetExceeded, match="size 110 exceeds cap 100"):
+            interpret_carrier(parse(f"!{nine} + !{nine}"),
+                              budgets=Budgets(bag=2, carrier_cap=100))
+        # only the injections inside the two 9-element operands
+        assert len(made) == 2 * 8
+
+    def test_cli_reports_the_budget_error(self, capsys):
+        from mullsem.cli import main
+        assert main(["interp", "--model", "rel", "--bag", "6",
+                     "!!(1+1)"]) == 1
+        assert "exceeds cap 20000" in capsys.readouterr().err

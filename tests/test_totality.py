@@ -1,19 +1,38 @@
 import hashlib
+import random
 
 import pytest
 
 from oracles import (brute_biclosure, brute_orthogonal, brute_upward_closure,
-                     explicit_members, powerset)
+                     explicit_members, fixpoint_sample, powerset)
+from mullsem import _kernels as kernels
 from mullsem.budgets import Budgets
-from mullsem.errors import CarrierTooLarge, UnsupportedConstructor
+from mullsem.errors import (BudgetExceeded, CarrierTooLarge,
+                            UnsupportedConstructor)
 from mullsem.formula import parse, substitute
-from mullsem.relmodel import (Carrier, Fold, InL, InR, Relation, UNIT,
-                              identity_rel, pair_carrier, sum_carrier)
-from mullsem.totality import (TotalitySpace, UpFamily, _bag_carrier, _derived,
-                              biclosure, check_total_morphism,
-                              enumerate_families, family_lattice,
-                              interpret_totality, orthogonal,
+from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
+                              UNIT, bag_carrier, bags_over, identity_rel,
+                              pair_carrier, sum_carrier)
+from mullsem.totality import (TotalitySpace, UpFamily, _derived,
+                              _reindex_along_fold, biclosure,
+                              check_total_morphism, enumerate_families,
+                              family_lattice, interpret_totality, orthogonal,
                               restrict_antichain)
+
+
+@pytest.fixture(autouse=True)
+def checked_trusted_families(monkeypatch):
+    """Every family built without the public check is still verified:
+    a sorted, duplicate-free antichain of masks inside its carrier."""
+    trusted = UpFamily._trusted.__func__
+
+    def checked(cls, carrier, minima):
+        assert isinstance(minima, tuple)
+        assert list(minima) == sorted(set(minima))
+        assert all(0 <= m < 1 << len(carrier) for m in minima)
+        assert kernels.is_antichain(minima)
+        return trusted(cls, carrier, minima)
+    monkeypatch.setattr(UpFamily, "_trusted", classmethod(checked))
 
 
 def fam(carrier, *sets):
@@ -393,6 +412,124 @@ class TestDerivedCarriers:
             assert _derived(carriers, build, opened, closed).stabilized \
                 is False
             assert _derived(carriers, build, closed, closed) is first
-        assert _derived(carriers, _bag_carrier, opened, 2).stabilized is False
-        assert _derived(carriers, _bag_carrier, closed, 2).stabilized is True
-        assert len(_derived(carriers, _bag_carrier, closed, 1)) == 3
+        assert _derived(carriers, bag_carrier, opened, 2).stabilized is False
+        assert _derived(carriers, bag_carrier, closed, 2).stabilized is True
+        assert len(_derived(carriers, bag_carrier, closed, 1)) == 3
+
+
+# ---------------------------------------------------------------------------
+# index-arithmetic minima against the element path they replace
+
+def _element_plus(sa, sb):
+    carrier = Carrier([InL(x) for x in sa.carrier]
+                      + [InR(y) for y in sb.carrier])
+    minima = [carrier.mask_of(frozenset(InL(e) for e in s))
+              for s in sa.family.min_sets()]
+    minima += [carrier.mask_of(frozenset(InR(e) for e in s))
+               for s in sb.family.min_sets()]
+    return UpFamily(carrier, kernels.minimize_family(minima))
+
+
+def _element_with(sa, sb):
+    carrier = Carrier([InL(x) for x in sa.carrier]
+                      + [InR(y) for y in sb.carrier])
+    minima = [carrier.mask_of(frozenset(InL(e) for e in x)
+                              | frozenset(InR(e) for e in y))
+              for x in sa.family.min_sets() for y in sb.family.min_sets()]
+    return UpFamily(carrier, kernels.minimize_family(minima))
+
+
+def _element_tensor(sa, sb):
+    carrier = Carrier([Pair(x, y) for x in sa.carrier for y in sb.carrier])
+    minima = [carrier.mask_of(frozenset(Pair(p, q) for p in x for q in y))
+              for x in sa.family.min_sets() for y in sb.family.min_sets()]
+    return UpFamily(carrier, kernels.minimize_family(minima))
+
+
+def _element_bang(s, bag):
+    carrier = Carrier(bags_over(s.carrier, bag))
+    minima = [carrier.mask_of(frozenset(bags_over(x, bag)))
+              for x in s.family.min_sets()]
+    return UpFamily(carrier, kernels.minimize_family(minima))
+
+
+def _element_reindex(carrier, body_space):
+    available = carrier.as_set()
+    minima = []
+    for s in body_space.family.min_sets():
+        wrapped = frozenset(Fold(e) for e in s)
+        if wrapped <= available:
+            minima.append(carrier.mask_of(wrapped))
+    return UpFamily(carrier, kernels.minimize_family(minima))
+
+
+def _random_spaces(rng, count):
+    """Spaces on small carriers: random antichains, plus the empty and
+    the full family on each carrier."""
+    carriers = [Carrier(()), Carrier(["a"]), Carrier(["b", "c"]),
+                Carrier([UNIT, "d", Fold(UNIT)]),
+                Carrier([f"e{i}" for i in range(4)]),
+                Carrier([InL(UNIT), InR(UNIT), Bag(("p",)), "q", "r"])]
+    spaces = []
+    for carrier in carriers:
+        spaces.append(TotalitySpace(carrier, UpFamily(carrier, ())))
+        spaces.append(TotalitySpace(carrier, UpFamily(carrier, (0,))))
+    while len(spaces) < count:
+        carrier = rng.choice(carriers[1:])
+        n = len(carrier)
+        masks = [rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 5))]
+        family = UpFamily(carrier, kernels.minimize_family(masks))
+        spaces.append(TotalitySpace(carrier, family))
+    return spaces
+
+
+class TestIndexArithmeticMinima:
+    def test_binary_connectives(self):
+        spaces = _random_spaces(random.Random(7), 30)
+        cases = (("x + y", _element_plus), ("x & y", _element_with),
+                 ("x * y", _element_tensor))
+        for sa in spaces:
+            for sb in spaces:
+                env = {"x": sa, "y": sb}
+                for text, reference in cases:
+                    got = interpret_totality(parse(text), env).family
+                    want = reference(sa, sb)
+                    assert got.carrier.elems == want.carrier.elems, text
+                    assert got.minima == want.minima, text
+
+    def test_bang(self):
+        for s in _random_spaces(random.Random(8), 24):
+            for bag in range(3):
+                got = interpret_totality(parse("!x"), {"x": s},
+                                         Budgets(bag=bag)).family
+                want = _element_bang(s, bag)
+                assert got.carrier.elems == want.carrier.elems
+                assert got.minima == want.minima
+
+    def test_fold_reindex(self):
+        rng = random.Random(9)
+        for body in _random_spaces(rng, 40):
+            elems = body.carrier.elems
+            for _ in range(3):
+                kept = [e for e in elems if rng.random() < 0.7]
+                carrier = Carrier([Fold(e) for e in kept])
+                got = _reindex_along_fold(carrier, body)
+                want = _element_reindex(carrier, body)
+                assert got.minima == want.minima
+
+    def test_grammar_sample(self):
+        # families built on the trusted path are checked by the fixture;
+        # nested (x & y) bodies pass through antichains of ~30,000
+        # minima, too many for its quadratic check
+        texts = [t for t in fixpoint_sample(40, seed=7) if "& y" not in t]
+        built = 0
+        for text in texts:
+            try:
+                space = interpret_totality(parse(text), {},
+                                           Budgets(depth=3, bag=2,
+                                                   carrier_cap=2000))
+            except (BudgetExceeded, CarrierTooLarge):
+                continue
+            assert space.family.carrier is space.carrier
+            built += 1
+        assert built >= 15  # 18 fit the caps
