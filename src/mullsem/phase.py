@@ -76,6 +76,22 @@ class PhaseSpace:
             raise ValueError("not a commutative monoid with pole: "
                              + "; ".join(violations))
 
+    def _with_pole(self, pole_mask: int) -> "PhaseSpace":
+        """The same monoid with the pole given as a bitmask of indices.
+
+        Shares this space's already checked table, so the law check of
+        the public constructor is not repeated for each pole.
+        """
+        space = object.__new__(PhaseSpace)
+        space.elements = self.elements
+        space.unit = self.unit
+        space._index = self._index
+        space._table = self._table
+        space._unit_index = self._unit_index
+        space._pole_mask = pole_mask
+        space.pole = self.set_of(pole_mask)
+        return space
+
     def _law_violations(self):
         out = []
         n = len(self.elements)
@@ -256,77 +272,76 @@ def enumerate_commutative_monoids(n: int):
     if n < 1:
         return []
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    table = {}
+    # symmetric flat table, -1 for a product not chosen yet; row and
+    # column 0 hold the unit law
+    table = [-1] * (n * n)
+    for i in range(n):
+        table[i] = table[i * n] = i
+    pairs = [(a * n + b, a * n, b * n)
+             for a in range(1, n) for b in range(1, n)]
 
-    def mul(a, b):
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        return table.get((a, b) if a <= b else (b, a))
-
-    def consistent():
-        for a in range(1, n):
-            for b in range(1, n):
-                ab = mul(a, b)
-                if ab is None:
+    def associative_at(i, j):
+        # Only triples with a lookup reading the new cell (i, j) or (j, i)
+        # can newly fail: every other one was checked when its last cell
+        # was set.  In a commutative table (a, b, c) and (c, b, a) state
+        # the same equation, so the triples whose ab or (ab)c lookup reads
+        # the cell cover, by their mirrors, those reading it in bc or a(bc).
+        t = table
+        for x, y in {(i, j), (j, i)}:
+            xy = t[x * n + y]
+            for z in range(1, n):
+                yz = t[y * n + z]
+                if yz < 0:
                     continue
-                for c in range(1, n):
-                    bc = mul(b, c)
-                    if bc is None:
-                        continue
-                    left = mul(ab, c)
-                    right = mul(a, bc)
-                    if left is not None and right is not None and left != right:
-                        return False
+                left = t[xy * n + z]
+                right = t[x * n + yz]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for c in {i, j}:
+            ab = i + j - c
+            left = t[ab * n + c]
+            for a_b, a_row, b_row in pairs:
+                if t[a_b] == ab:
+                    bc = t[b_row + c]
+                    if bc >= 0:
+                        right = t[a_row + bc]
+                        if right >= 0 and right != left:
+                            return False
         return True
 
     found = []
 
     def fill(k):
         if k == len(cells):
-            found.append(_flat(table, n))
+            found.append(tuple(table))
             return
+        i, j = cells[k]
         for val in range(n):
-            table[cells[k]] = val
-            if consistent():
+            table[i * n + j] = table[j * n + i] = val
+            if associative_at(i, j):
                 fill(k + 1)
-        del table[cells[k]]
+        table[i * n + j] = table[j * n + i] = -1
 
     fill(0)
-    canon_seen = set()
+    relabellings = _relabellings(n)
+    return sorted({min(tuple([position[flat[k]] for k in source])
+                       for position, source in relabellings)
+                   for flat in found})
+
+
+def _relabellings(n):
+    """(position, source) for each relabelling fixing the unit 0: element
+    i becomes position[i], and cell k of the relabelled table is cell
+    source[k] of the original."""
     out = []
-    for flat in found:
-        c = _canonical(flat, n)
-        if c not in canon_seen:
-            canon_seen.add(c)
-            out.append(c)
-    return sorted(out)
-
-
-def _flat(table, n):
-    def mul(a, b):
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        return table[(a, b) if a <= b else (b, a)]
-    return tuple(mul(i, j) for i in range(n) for j in range(n))
-
-
-def _canonical(flat, n):
-    best = None
     for perm in permutations(range(1, n)):
-        relabel = (0,) + perm
-        position = {old: new for new, old in enumerate(relabel)}
-        cand = [0] * (n * n)
+        position = (0,) + perm
+        source = [0] * (n * n)
         for i in range(n):
             for j in range(n):
-                cand[position[i] * n + position[j]] = position[flat[i * n + j]]
-        cand = tuple(cand)
-        if best is None or cand < best:
-            best = cand
-    return best
+                source[position[i] * n + position[j]] = i * n + j
+        out.append((position, source))
+    return out
 
 
 def space_from_table(flat, n, pole_mask) -> PhaseSpace:
@@ -341,8 +356,9 @@ def enumerate_spaces(max_size: int):
     """All (monoid up to iso, pole) pairs with at most max_size elements."""
     for n in range(1, max_size + 1):
         for flat in enumerate_commutative_monoids(n):
+            monoid = space_from_table(flat, n, 0)
             for pole_mask in range(1 << n):
-                yield space_from_table(flat, n, pole_mask)
+                yield monoid._with_pole(pole_mask)
 
 
 def search_counter_model(f: Formula, max_size: int = 5):

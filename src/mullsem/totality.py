@@ -334,6 +334,11 @@ def _tot(f, env, budgets, carriers) -> TotalitySpace:
         case With(a, b):
             sa = _tot(a, env, budgets, carriers)
             sb = _tot(b, env, budgets, carriers)
+            ma, mb = len(sa.family.minima), len(sb.family.minima)
+            if ma * mb > budgets.carrier_cap:
+                raise BudgetExceeded(
+                    f"& of {ma} x {mb} minimal sets ({ma * mb}) exceeds "
+                    f"cap {budgets.carrier_cap}")
             carrier = _derived(carriers, sum_carrier,
                                sa.carrier, sb.carrier)
             na = len(sa.carrier)

@@ -107,6 +107,15 @@ class TestInterp:
         assert code == 1
         assert "lolli" in err
 
+    def test_totality_with_budget_is_semantic(self, capsys):
+        # unguarded, this & builds 85 x 7311 minimal sets and runs out of
+        # memory
+        code, out, err = run(capsys, "interp", "--model", "totality",
+                             "--depth", "3", "mu x. nu y. (1 + x) & (1 + y)")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "exceeds cap 20000" in err
+
     def test_env_var_depth(self, capsys, monkeypatch):
         monkeypatch.setenv("MULL_BUDGET_DEPTH", "2")
         code, data, _ = run_json(capsys, "interp", "--model", "rel",
@@ -202,6 +211,26 @@ class TestPolar:
                            str(tmp_path / "nope"), "--point",
                            str(tmp_path / "nope2"))
         assert code == 2
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("argv", [
+        ("interp", "--model", "phase", "--space", "{bad}", "1"),
+        ("fix", "--expr", "{bad}"),
+        ("polar", "--generators", "{bad}", "--point", "{point}"),
+        ("polar", "--generators", "{gens}", "--point", "{bad}"),
+    ], ids=["space", "expr", "generators", "point"])
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path, argv):
+        files = {"bad": tmp_path / "bad", "gens": tmp_path / "gens.mat",
+                 "point": tmp_path / "pt.mat"}
+        files["bad"].write_bytes(b"\xff\n")
+        files["gens"].write_text("rows g1\ncols i\ng1 i 1\n")
+        files["point"].write_text("rows v\ncols i\nv i 1\n")
+        paths = {name: str(path) for name, path in files.items()}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: cannot read {paths['bad']}")
 
 
 class TestAdmissible:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from oracles import brute_commutative_monoid_count, powerset
@@ -141,20 +143,103 @@ class TestSearch:
             search_counter_model(parse("1"), 6)
 
 
+def reference_commutative_monoids(n):
+    """Reference enumerator: after each cell is chosen, every triple of
+    non-unit elements is checked again for associativity, through a
+    dict-backed product; canonical forms by brute-force relabelling."""
+    if n < 1:
+        return []
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    table = {}
+
+    def mul(a, b):
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        return table.get((a, b) if a <= b else (b, a))
+
+    def consistent():
+        for a in range(1, n):
+            for b in range(1, n):
+                ab = mul(a, b)
+                if ab is None:
+                    continue
+                for c in range(1, n):
+                    bc = mul(b, c)
+                    if bc is None:
+                        continue
+                    left = mul(ab, c)
+                    right = mul(a, bc)
+                    if None not in (left, right) and left != right:
+                        return False
+        return True
+
+    def canonical(flat):
+        best = None
+        for perm in permutations(range(1, n)):
+            position = (0,) + perm
+            cand = [0] * (n * n)
+            for i in range(n):
+                for j in range(n):
+                    cand[position[i] * n + position[j]] = \
+                        position[flat[i * n + j]]
+            if best is None or tuple(cand) < best:
+                best = tuple(cand)
+        return best
+
+    found = set()
+
+    def fill(k):
+        if k == len(cells):
+            found.add(canonical(tuple(mul(i, j) for i in range(n)
+                                      for j in range(n))))
+            return
+        for val in range(n):
+            table[cells[k]] = val
+            if consistent():
+                fill(k + 1)
+        del table[cells[k]]
+
+    fill(0)
+    return sorted(found)
+
+
 class TestEnumeration:
     def test_counts_match_brute_force(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             assert len(enumerate_commutative_monoids(n)) == \
                 brute_commutative_monoid_count(n)
 
     def test_frozen_counts(self):
-        assert [len(enumerate_commutative_monoids(n)) for n in (1, 2, 3)] == \
-            [1, 2, 5]
+        # OEIS A058131: commutative monoids of order n up to isomorphism
+        assert [len(enumerate_commutative_monoids(n))
+                for n in (1, 2, 3, 4, 5)] == [1, 2, 5, 19, 78]
+
+    def test_tables_match_reference(self):
+        for n in range(6):
+            assert enumerate_commutative_monoids(n) == \
+                reference_commutative_monoids(n), n
 
     def test_tables_are_valid_spaces(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             for flat in enumerate_commutative_monoids(n):
                 space_from_table(flat, n, 0)  # ValueError when laws fail
+
+    def test_pole_variants_match_checked_spaces(self):
+        # enumerate_spaces checks each table once and shares it between
+        # the poles; every variant equals the fully checked space
+        checked = [space_from_table(flat, n, mask) for n in (1, 2, 3, 4)
+                   for flat in enumerate_commutative_monoids(n)
+                   for mask in range(1 << n)]
+        shared = list(enumerate_spaces(4))
+        assert len(shared) == len(checked) == 354
+        formulas = [parse(text) for text in CORPUS]
+        for got, want in zip(shared, checked):
+            assert got.to_dict() == want.to_dict()
+            assert repr(got) == repr(want)
+            assert [holds(got, f) for f in formulas] == \
+                [holds(want, f) for f in formulas], want
 
 
 class TestFileFormat:

@@ -367,6 +367,28 @@ class TestExponentials:
             interpret_totality(wide, {}, Budgets(bag=8, carrier_cap=500))
 
 
+class TestWithBudget:
+    # the & of m and n minimal sets has m * n minima; unguarded, these
+    # formulas reach 621,435, 357,012 and 44,324 of them at depth 3 and
+    # run out of memory (the CLI tests use the default cap)
+    @pytest.mark.parametrize("text", ["mu x. nu y. (1 + x) & (1 + y)",
+                                      "mu x. mu y. (1 + 1) + (x & y)",
+                                      "mu x. nu y. (1 + 1) + (x & y)"])
+    def test_guard_raises_before_building(self, text):
+        message = r"^& of \d+ x \d+ minimal sets .* exceeds cap 2000$"
+        with pytest.raises(BudgetExceeded, match=message):
+            interpret_totality(parse(text), {},
+                               Budgets(depth=3, carrier_cap=2000))
+
+    def test_product_at_the_cap_is_built(self):
+        # 2 x 2 minimal sets: allowed at cap 4, refused at cap 3
+        text = "(1 + 1) & (1 + 1)"
+        s = interpret_totality(parse(text), {}, Budgets(carrier_cap=4))
+        assert len(s.family.minima) == 4
+        with pytest.raises(BudgetExceeded, match="& of 2 x 2 minimal sets"):
+            interpret_totality(parse(text), {}, Budgets(carrier_cap=3))
+
+
 class TestForgetfulStrictness:
     """The carrier of every totality interpretation is the relational
     interpretation of the same formula, on the nose."""
