@@ -1,48 +1,8 @@
-"""Kernel selection: compiled extension when present, pure Python otherwise.
+"""The bitmask kernels the models call.
 
-Set MULL_PURE_KERNELS=1 to force the pure twin (used by the benchmark
-and the cross-implementation tests).  The compiled kernels handle
-carriers of at most 64 elements; dispatch falls back to the pure twin
-beyond that, so callers never need to care.
+``backend`` names their implementation; the run traces report it.
 """
 
-import os
-
-from . import pure as _pure
-
-if os.environ.get("MULL_PURE_KERNELS") == "1":
-    _impl = _pure
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _pure
-
-backend = _impl.BACKEND
-_LIMIT = getattr(_impl, "MASK_BITS", None)
-
-
-def minimize_family(masks):
-    masks = tuple(masks)
-    if _LIMIT is not None and any(m >> _LIMIT for m in masks):
-        return _pure.minimize_family(masks)
-    return _impl.minimize_family(masks)
-
-
-def minimal_transversals(masks, nbits):
-    if _LIMIT is not None and nbits > _LIMIT:
-        return _pure.minimal_transversals(masks, nbits)
-    return _impl.minimal_transversals(masks, nbits)
-
-
-def phase_orthogonal(table, n, pole_mask, x_mask):
-    if _LIMIT is not None and n > _LIMIT:
-        return _pure.phase_orthogonal(table, n, pole_mask, x_mask)
-    return _impl.phase_orthogonal(table, n, pole_mask, x_mask)
-
-
-def is_antichain(masks):
-    masks = tuple(masks)
-    if _LIMIT is not None and any(m >> _LIMIT for m in masks):
-        return _pure.is_antichain(masks)
-    return _impl.is_antichain(masks)
+from .pure import BACKEND as backend
+from .pure import (is_antichain, minimal_transversals, minimize_family,
+                   phase_orthogonal)

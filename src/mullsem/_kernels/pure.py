@@ -1,8 +1,7 @@
 """Pure-Python bitmask kernels: subset families and phase-space closure.
 
 A family of subsets of an n-element carrier is a sequence of int
-bitmasks.  These loops dominate the totality and phase interpreters;
-``_core.pyx`` is the compiled twin with the same signatures.
+bitmasks.  These loops dominate the totality and phase interpreters.
 """
 
 BACKEND = "pure"
@@ -10,6 +9,12 @@ BACKEND = "pure"
 
 def minimize_family(masks):
     """Inclusion-minimal members of the family, deduplicated and sorted."""
+    return _minimal(masks)
+
+
+def _minimal(masks):
+    # the kernels call this, not minimize_family, so that a tracer
+    # wrapping the public name sees only the models' calls
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     out = []
     for cand in uniq:
@@ -39,7 +44,7 @@ def minimal_transversals(masks, nbits):
             e ^= bit
             for t in miss:
                 grown.add(t | bit)
-        trs = list(minimize_family(grown))
+        trs = list(_minimal(grown))
     return tuple(sorted(trs))
 
 

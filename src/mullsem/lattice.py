@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 from .errors import IterationBudgetExceeded, LatticeError
 
 VALIDATION_SIZE_BOUND = 500
@@ -130,14 +132,21 @@ class MonotoneOp:
         return True
 
 
-def _iterate(op, start, max_iter):
+def iterate(step, start, budget, same=operator.eq):
+    """The first iterate x of step from start with same(step(x), x).
+
+    This is the one fixpoint loop of the workbench: the lattice, totality
+    and phase fixpoints and the truncated relational chains all run
+    through it.  Raises IterationBudgetExceeded, carrying the last
+    iterate, when budget steps pass without stabilizing.
+    """
     x = start
-    for _ in range(max_iter):
-        y = op(x)
-        if y == x:
+    for _ in range(budget):
+        y = step(x)
+        if same(y, x):
             return x
         x = y
-    raise IterationBudgetExceeded(max_iter, last=x)
+    raise IterationBudgetExceeded(budget, last=x)
 
 
 def lfp(op: MonotoneOp, max_iter=None):
@@ -148,10 +157,10 @@ def lfp(op: MonotoneOp, max_iter=None):
     stabilizes; the budget guards adapters over non-finite fibers.
     """
     budget = max_iter if max_iter is not None else len(op.lattice) + 1
-    return _iterate(op, op.lattice.bottom, budget)
+    return iterate(op, op.lattice.bottom, budget)
 
 
 def gfp(op: MonotoneOp, max_iter=None):
     """Greatest fixpoint, by descending iteration from top (dual of lfp)."""
     budget = max_iter if max_iter is not None else len(op.lattice) + 1
-    return _iterate(op, op.lattice.top, budget)
+    return iterate(op, op.lattice.top, budget)

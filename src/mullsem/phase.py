@@ -11,10 +11,10 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import _kernels as kernels
-from .errors import (FileFormatError, IterationBudgetExceeded,
-                     UnboundVariable, UnsupportedConstructor)
+from .errors import FileFormatError, UnboundVariable
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       Plus, Tensor, Top, Var, WhyNot, With, Zero, free_vars)
+from .lattice import iterate
 
 
 class PhaseSpace:
@@ -25,7 +25,7 @@ class PhaseSpace:
     """
 
     __slots__ = ("elements", "unit", "pole", "_index", "_table", "_pole_mask",
-                 "_unit_index")
+                 "_unit_index", "_exponential")
 
     def __init__(self, elements, unit, table, pole):
         self.elements = tuple(elements)
@@ -66,6 +66,7 @@ class PhaseSpace:
                     violations.append(f"commutativity fails on {a!r},{b!r}")
         self._table = tuple(flat)
         self._unit_index = self._index.get(unit, 0)
+        self._exponential = None
         self._pole_mask = 0
         for e in self.pole:
             if e in self._index:
@@ -89,6 +90,7 @@ class PhaseSpace:
         space._table = self._table
         space._unit_index = self._unit_index
         space._pole_mask = pole_mask
+        space._exponential = None  # the base of ! and ? depends on the pole
         space.pole = self.set_of(pole_mask)
         return space
 
@@ -153,13 +155,15 @@ class PhaseSpace:
                 out |= 1 << self._table[row + j]
         return out
 
-    def idempotent_mask(self):
-        n = len(self.elements)
-        out = 0
-        for i in range(n):
-            if self._table[i * n + i] == i:
-                out |= 1 << i
-        return out
+    def exponential_mask(self):
+        """The base of ! and ?: the idempotents in the closure of the unit."""
+        if self._exponential is None:
+            n = len(self.elements)
+            idempotents = sum(1 << i for i in range(n)
+                              if self._table[i * n + i] == i)
+            self._exponential = idempotents & self.closure_mask(
+                1 << self._unit_index)
+        return self._exponential
 
     def to_dict(self):
         return {
@@ -192,15 +196,13 @@ def interpret_phase(space: PhaseSpace, f: Formula, env=None) -> frozenset:
 
 
 def _eval(space: PhaseSpace, f, env) -> int:
-    unit_mask = 1 << space._unit_index
-    full = (1 << space.size) - 1
     match f:
         case One():
-            return space.closure_mask(unit_mask)
+            return space.closure_mask(1 << space._unit_index)
         case Bot():
-            return space.orthogonal_mask(unit_mask)
+            return space.orthogonal_mask(1 << space._unit_index)
         case Top():
-            return full
+            return (1 << space.size) - 1
         case Zero():
             return space.closure_mask(0)
         case Var(name):
@@ -225,12 +227,12 @@ def _eval(space: PhaseSpace, f, env) -> int:
                 _eval(space, a, env),
                 space.orthogonal_mask(_eval(space, b, env))))
         case OfCourse(b):
-            idems = space.idempotent_mask() & space.closure_mask(unit_mask)
-            return space.closure_mask(_eval(space, b, env) & idems)
+            return space.closure_mask(
+                _eval(space, b, env) & space.exponential_mask())
         case WhyNot(b):
             inner = space.orthogonal_mask(_eval(space, b, env))
-            idems = space.idempotent_mask() & space.closure_mask(unit_mask)
-            return space.orthogonal_mask(space.closure_mask(inner & idems))
+            return space.orthogonal_mask(
+                space.closure_mask(inner & space.exponential_mask()))
         case Mu(x, b):
             return _fix(space, x, b, env, least=True)
         case Nu(x, b):
@@ -239,14 +241,9 @@ def _eval(space: PhaseSpace, f, env) -> int:
 
 
 def _fix(space, x, body, env, least):
-    full = (1 << space.size) - 1
-    cur = space.closure_mask(0) if least else full
-    for _ in range((1 << space.size) + 2):
-        nxt = _eval(space, body, {**env, x: cur})
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise IterationBudgetExceeded((1 << space.size) + 2)
+    start = space.closure_mask(0) if least else (1 << space.size) - 1
+    return iterate(lambda cur: _eval(space, body, {**env, x: cur}), start,
+                   (1 << space.size) + 2)
 
 
 def holds(space: PhaseSpace, f: Formula) -> bool:

@@ -7,15 +7,17 @@ budget, so truncation is visible rather than silent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .errors import (BudgetExceeded, CarrierMismatch, UnboundVariable,
-                     UnsupportedConstructor)
+from .errors import (BudgetExceeded, CarrierMismatch,
+                     IterationBudgetExceeded, UnboundVariable)
 from .formula import (Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par, Plus,
                       Tensor, Top, Var, WhyNot, With, Zero, Bot)
+from .lattice import iterate
 
 
 class Elem:
@@ -370,22 +372,29 @@ def _interp(f, env, budgets):
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _chain(step, start, budgets, same=operator.eq):
+    """Last iterate of the chain cut at the depth budget; if it stabilized."""
+    try:
+        return iterate(step, start, budgets.depth, same), True
+    except IterationBudgetExceeded as exc:
+        return exc.last, False
+
+
 def _fixpoint_carrier(x, body, env, budgets):
-    cur = ()
     inner_stable = True
-    stabilized = False
-    for _ in range(budgets.depth):
+
+    def step(cur):
+        nonlocal inner_stable
         layer, ok = _interp(body, {**env, x: cur}, budgets)
         inner_stable = inner_stable and ok
         _guard(len(layer), budgets)
         # Fold keeps its argument's order
-        nxt = tuple([Fold(e) for e in layer])
-        # every connective is monotone in x, so the chain only grows and
-        # an iterate with no new element equals its predecessor
-        if len(nxt) == len(cur):
-            stabilized = True
-            break
-        cur = nxt
+        return tuple([Fold(e) for e in layer])
+
+    # every connective is monotone in x, so the chain only grows and an
+    # iterate with no new element equals its predecessor
+    cur, stabilized = _chain(step, (), budgets,
+                             lambda nxt, cur: len(nxt) == len(cur))
     return cur, stabilized and inner_stable
 
 
@@ -424,6 +433,8 @@ def _act(f, rels, budgets) -> Relation:
         case Tensor(a, b) | Par(a, b):
             ra = _act(a, rels, budgets)
             rb = _act(b, rels, budgets)
+            _guard(max(len(ra.src) * len(rb.src), len(ra.tgt) * len(rb.tgt)),
+                   budgets)
             pairs = frozenset((Pair(a1, b1), Pair(a2, b2))
                               for a1, a2 in ra.pairs for b1, b2 in rb.pairs)
             return Relation(pair_carrier(ra.src, rb.src),
@@ -431,12 +442,16 @@ def _act(f, rels, budgets) -> Relation:
         case Plus(a, b) | With(a, b):
             ra = _act(a, rels, budgets)
             rb = _act(b, rels, budgets)
+            _guard(max(len(ra.src) + len(rb.src), len(ra.tgt) + len(rb.tgt)),
+                   budgets)
             pairs = frozenset((InL(a1), InL(a2)) for a1, a2 in ra.pairs) | \
                 frozenset((InR(b1), InR(b2)) for b1, b2 in rb.pairs)
             return Relation(sum_carrier(ra.src, rb.src),
                             sum_carrier(ra.tgt, rb.tgt), pairs)
         case OfCourse(b) | WhyNot(b):
             rb = _act(b, rels, budgets)
+            _guard(comb(max(len(rb.src), len(rb.tgt)) + budgets.bag,
+                        budgets.bag), budgets)
             base = sorted(rb.pairs)
             pairs = set()
             for n in range(budgets.bag + 1):
@@ -483,13 +498,15 @@ def _folded(c: Carrier) -> Carrier:
 
 
 def _fixpoint_action(yvar, body, rels, budgets):
-    cur = Relation(EMPTY_CARRIER, EMPTY_CARRIER, frozenset())
-    for _ in range(budgets.depth):
+    def step(cur):
         layer = _act(body, {**rels, yvar: cur}, budgets)
-        nxt = Relation(
+        return Relation(
             _folded(layer.src), _folded(layer.tgt),
             frozenset((Fold(a), Fold(b)) for a, b in layer.pairs))
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
+
+    cur, stabilized = _chain(
+        step, Relation(EMPTY_CARRIER, EMPTY_CARRIER, frozenset()), budgets)
+    if stabilized:
+        return cur
+    return Relation(Carrier._ordered(cur.src.elems, False),
+                    Carrier._ordered(cur.tgt.elems, False), cur.pairs)

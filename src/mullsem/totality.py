@@ -16,10 +16,10 @@ from math import comb
 from . import _kernels as kernels
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (BudgetExceeded, CarrierMismatch, CarrierTooLarge,
-                     IterationBudgetExceeded, UnboundVariable,
-                     UnsupportedConstructor)
+                     UnboundVariable, UnsupportedConstructor)
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       Plus, Tensor, Top, Var, WhyNot, With, Zero)
+from .lattice import FiniteLattice, iterate
 from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER,
                        bag_carrier, bit_indices, fold_depth,
                        interpret_carrier, pair_carrier, sum_carrier)
@@ -234,7 +234,6 @@ def enumerate_families(carrier: Carrier):
 
 def family_lattice(carrier: Carrier):
     """The complete lattice D(A) of closed families, as a FiniteLattice."""
-    from .lattice import FiniteLattice
     return FiniteLattice(enumerate_families(carrier),
                          lambda x, y: x.le(y),
                          name=f"D({len(carrier)})")
@@ -303,8 +302,7 @@ def _tot(f, env, budgets, carriers) -> TotalitySpace:
                 raise UnboundVariable(name)
             return env[name]
         case Neg(b):
-            sb = _tot(b, env, budgets, carriers)
-            return TotalitySpace(sb.carrier, orthogonal(sb.family), sb.stabilized)
+            return _dual(_tot(b, env, budgets, carriers))
         case Lolli(_, _):
             raise UnsupportedConstructor("lolli", "totality")
         case Tensor(a, b):
@@ -314,9 +312,7 @@ def _tot(f, env, budgets, carriers) -> TotalitySpace:
         case Par(a, b):
             sa = _tot(a, env, budgets, carriers)
             sb = _tot(b, env, budgets, carriers)
-            dual = _tensor(_dual(sa), _dual(sb), budgets, carriers)
-            return TotalitySpace(dual.carrier, orthogonal(dual.family),
-                                 dual.stabilized)
+            return _dual(_tensor(_dual(sa), _dual(sb), budgets, carriers))
         case Plus(a, b):
             sa = _tot(a, env, budgets, carriers)
             sb = _tot(b, env, budgets, carriers)
@@ -351,10 +347,8 @@ def _tot(f, env, budgets, carriers) -> TotalitySpace:
         case OfCourse(b):
             return _bang(_tot(b, env, budgets, carriers), budgets, carriers)
         case WhyNot(b):
-            sb = _tot(b, env, budgets, carriers)
-            dual = _bang(_dual(sb), budgets, carriers)
-            return TotalitySpace(dual.carrier, orthogonal(dual.family),
-                                 dual.stabilized)
+            return _dual(_bang(_dual(_tot(b, env, budgets, carriers)),
+                               budgets, carriers))
         case Mu(x, b):
             return _fix(x, b, env, budgets, carriers, least=True)
         case Nu(x, b):
@@ -428,20 +422,18 @@ def _fix_at(x, body, env, budgets, carriers, least):
     fix_formula = Mu(x, body) if least else Nu(x, body)
     carrier_env = {name: s.carrier for name, s in env.items()}
     carrier = interpret_carrier(fix_formula, carrier_env, budgets)
-    if least:
-        fam = UpFamily.empty(carrier)
-    else:
-        fam = UpFamily.full(carrier)
     inner_stable = True
-    for _ in range(budgets.iter_cap):
-        arg = TotalitySpace(carrier, fam)
-        body_space = _tot(body, {**env, x: arg}, budgets, carriers)
+
+    def step(fam):
+        nonlocal inner_stable
+        body_space = _tot(body, {**env, x: TotalitySpace(carrier, fam)},
+                          budgets, carriers)
         inner_stable = inner_stable and body_space.stabilized
-        nxt = _reindex_along_fold(carrier, body_space)
-        if nxt == fam:
-            return TotalitySpace(carrier, fam, inner_stable)
-        fam = nxt
-    raise IterationBudgetExceeded(budgets.iter_cap)
+        return _reindex_along_fold(carrier, body_space)
+
+    start = UpFamily.empty(carrier) if least else UpFamily.full(carrier)
+    fam = iterate(step, start, budgets.iter_cap)
+    return TotalitySpace(carrier, fam, inner_stable)
 
 
 def _reindex_along_fold(carrier: Carrier, body_space: TotalitySpace) -> UpFamily:

@@ -20,6 +20,9 @@ from .simplex import OPTIMAL, UNBOUNDED, simplex_maximize
 
 VECTOR_ROW = "v"
 POLAR_DIMENSION_CAP = 8
+# bits of a numerator or denominator of an exact fixpoint iterate; on a
+# polynomial system they can double at every step
+EXACT_BITS_CAP = 1 << 16
 
 
 class SemiringMatrix:
@@ -439,7 +442,8 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
 
     Iterates stop when the sup-norm step drops to ``tol``; the returned
     residual is the sup-norm of f(x) - x at the final iterate.  Raises
-    BudgetExceeded (carrying the last iterate) past ``max_iter``.
+    BudgetExceeded (carrying the last iterate) past ``max_iter``, and in
+    exact mode before a step from an iterate wider than EXACT_BITS_CAP.
     """
     if not f.is_endo():
         raise IndexMismatch("fixpoints need an endo map")
@@ -447,6 +451,10 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
     tol = float(tol) if mode == "float" else Fraction(tol)
     cur = {n: sr.zero for n in f.inputs}
     for it in range(1, max_iter + 1):
+        if mode == "exact" and _widest(cur) > EXACT_BITS_CAP:
+            raise BudgetExceeded(
+                f"iteration {it}: an exact iterate has more than "
+                f"{EXACT_BITS_CAP} bits in a numerator or denominator")
         nxt = f.eval(cur, sr)
         for n in f.inputs:
             if not sr.le(cur[n], nxt[n]):
@@ -466,6 +474,12 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
         f"(residual {_num_str(residual)})")
     err.result = last
     raise err
+
+
+def _widest(values):
+    """Bits of the widest numerator or denominator among exact values."""
+    return max((max(v.numerator.bit_length(), v.denominator.bit_length())
+                for v in values.values() if v is not INF), default=0)
 
 
 def _sample_points(coords, sr):

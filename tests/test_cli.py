@@ -166,6 +166,17 @@ class TestFix:
         assert code == 1
         assert "residual" in err
 
+    def test_exact_iterates_stop_at_the_bit_cap(self, capsys, tmp_path):
+        # the bit length of the exact iterates doubles at every step
+        expr = tmp_path / "walk.fx"
+        expr.write_text(WALK)
+        code, out, err = run(capsys, "fix", "--expr", str(expr),
+                             "--mode", "exact")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: iteration 17: ")
+        assert "65536 bits" in err
+
     def test_bad_tolerance(self, capsys, tmp_path):
         expr = tmp_path / "walk.fx"
         expr.write_text(WALK)

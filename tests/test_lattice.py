@@ -2,7 +2,7 @@ import pytest
 
 from oracles import greatest_postfixpoint_scan, least_prefixpoint_scan
 from mullsem.errors import IterationBudgetExceeded, LatticeError
-from mullsem.lattice import FiniteLattice, MonotoneOp, gfp, lfp
+from mullsem.lattice import FiniteLattice, MonotoneOp, gfp, iterate, lfp
 
 
 def chain4():
@@ -93,6 +93,30 @@ class TestFixpoints:
             lfp(op, max_iter=10)
         assert info.value.budget == 10
         assert info.value.last is not None
+
+
+class TestIterate:
+    def test_returns_the_first_fixed_iterate(self):
+        assert iterate(lambda x: min(x + 1, 5), 0, 10) == 5
+        # five steps reach 5, the sixth confirms it
+        assert iterate(lambda x: min(x + 1, 5), 0, 6) == 5
+
+    def test_budget_carries_the_last_iterate(self):
+        with pytest.raises(IterationBudgetExceeded) as info:
+            iterate(lambda x: min(x + 1, 5), 0, 5)
+        assert str(info.value) == "no stabilization within 5 iterations"
+        assert info.value.last == 5
+
+    def test_zero_budget_returns_nothing(self):
+        with pytest.raises(IterationBudgetExceeded) as info:
+            iterate(lambda x: x, "start", 0)
+        assert info.value.last == "start"
+
+    def test_custom_sameness(self):
+        # stop once a step adds nothing, without comparing the items
+        def grow(xs):
+            return xs + [object()] if len(xs) < 3 else list(xs)
+        assert len(iterate(grow, [], 10, lambda y, x: len(y) == len(x))) == 3
 
 
 class TestMidScaleCertification:

@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 
 from oracles import brute_commutative_monoid_count, powerset
-from mullsem.errors import FileFormatError
+from mullsem.errors import FileFormatError, IterationBudgetExceeded
 from mullsem.formula import Mu, Neg, Nu, parse, nnf, substitute
 from mullsem.phase import (PhaseSpace, enumerate_commutative_monoids,
                            enumerate_spaces, fact_closure, holds,
@@ -110,6 +110,16 @@ class TestInterpret:
             f = interpret_phase(space, parse("(1 + 0) -o bot"))
             g = interpret_phase(space, parse("~(1 + 0) | bot"))
             assert f == g
+
+
+class TestFixpointBudget:
+    def test_oscillating_body_exhausts_the_budget(self):
+        # ~x is not monotone: from the least fact the iterates alternate,
+        # so the chain stops at its budget of 2^n + 2 steps
+        space = space_from_table((0, 1, 1, 0), 2, 1)
+        with pytest.raises(IterationBudgetExceeded,
+                           match="^no stabilization within 6 iterations$"):
+            interpret_phase(space, parse("mu x. ~x"))
 
 
 class TestHolds:
@@ -301,6 +311,23 @@ class TestExponentials:
         assert interpret_phase(SIGN, parse("!0")) == set()
         assert interpret_phase(SIGN, parse("?bot")) == {"1"}
         assert interpret_phase(SIGN, parse("?1")) == {"1"}
+
+    def test_pole_variants_keep_their_own_base(self):
+        # with a * a = a the base of ! is {e, a} under the empty pole and
+        # {e} under the pole {e}; it is cached per space, and a pole
+        # variant must not reuse the cache of the space it came from
+        table = (0, 1, 1, 1)
+        empty = space_from_table(table, 2, 0)
+        assert interpret_phase(empty, parse("!top")) == {"e", "a"}
+        unit = empty._with_pole(1)
+        assert interpret_phase(unit, parse("!top")) == {"e"}
+        assert interpret_phase(unit._with_pole(0), parse("!top")) == {"e", "a"}
+        for mask in range(4):
+            variant = empty._with_pole(mask)
+            checked = space_from_table(table, 2, mask)
+            for text in ("!top", "?0", "!(1 + 0)", "?(1 & top)"):
+                assert interpret_phase(variant, parse(text)) == \
+                    interpret_phase(checked, parse(text)), (mask, text)
 
     def test_bang_under_fixpoint(self):
         assert interpret_phase(SIGN, parse("mu x. !x")) == set()

@@ -126,6 +126,12 @@ class TestInterpretCarrier:
             interpret_carrier(parse("!(1+1+1+1) * !(1+1+1+1)"),
                               budgets=Budgets(bag=4, carrier_cap=100))
 
+    def test_truncated_chain_returns_last_iterate(self):
+        for k in range(4):
+            c = interpret_carrier(parse("mu x. 1 + x"), budgets=Budgets(depth=k))
+            assert c.as_set() == {numeral(i) for i in range(k)}
+            assert not c.stabilized
+
     def test_rel_degeneracy_nnf_duality(self):
         rng = random.Random(11)
         texts = ["1", "mu x. 1 + x", "!(1 + bot)", "nu x. 1 & x",
@@ -192,6 +198,22 @@ class TestFunctorOnRelations:
         out = functor_on_relations(parse("!x"), "x", r, {}, Budgets(bag=2))
         assert (Bag(("a0", "a0")), Bag(("b0", "b0"))) in out.pairs
         assert (Bag(()), Bag(())) in out.pairs
+
+    def test_truncated_chain_returns_last_iterate(self):
+        one = interpret_carrier(parse("1"))
+        f = parse("mu y. 1 + x * y")
+        for k in range(4):
+            budgets = Budgets(depth=k)
+            r = functor_on_relations(f, "x", identity_rel(one), budgets=budgets)
+            assert r == identity_rel(interpret_carrier(f, {"x": one}, budgets))
+            assert len(r.pairs) == k
+            assert not r.src.stabilized and not r.tgt.stabilized
+
+    def test_stable_chain_keeps_the_flag(self):
+        one = interpret_carrier(parse("1"))
+        r = functor_on_relations(parse("mu y. 1 + x"), "x", identity_rel(one))
+        assert len(r.pairs) == 2
+        assert r.src.stabilized and r.tgt.stabilized
 
     def test_negated_variable_even_depth(self):
         r = rel(["a0", "a1"], ["b0"], [("a0", "b0")])
@@ -465,6 +487,32 @@ class TestBudgetBeforeWork:
                               budgets=Budgets(bag=2, carrier_cap=100))
         # only the injections inside the two 9-element operands
         assert len(made) == 2 * 8
+
+    def test_action_on_bags_of_bags(self, monkeypatch):
+        made = self.counting(monkeypatch, "Bag")
+        budgets = Budgets(bag=6)
+        one = identity_rel(interpret_carrier(parse("1")))
+        with pytest.raises(BudgetExceeded) as info:
+            functor_on_relations(parse("!!(1+x)"), "x", one, budgets=budgets)
+        assert str(info.value) == \
+            "carrier of size 1344904 exceeds cap 20000"
+        assert len(made) <= budgets.carrier_cap
+
+    def test_action_on_products(self, monkeypatch):
+        made = self.counting(monkeypatch, "Pair")
+        eleven = "(" + " + ".join(["1"] * 11) + ")"
+        r = identity_rel(interpret_carrier(parse(eleven)))
+        with pytest.raises(BudgetExceeded, match="size 121 exceeds cap 100"):
+            functor_on_relations(parse(f"{eleven} * x"), "x", r,
+                                 budgets=Budgets(carrier_cap=100))
+        assert made == []
+
+    def test_action_on_sums(self):
+        nine = "(" + " + ".join(["1"] * 9) + ")"
+        r = identity_rel(interpret_carrier(parse(f"!{nine}")))
+        with pytest.raises(BudgetExceeded, match="size 110 exceeds cap 100"):
+            functor_on_relations(parse(f"!{nine} + x"), "x", r,
+                                 budgets=Budgets(bag=2, carrier_cap=100))
 
     def test_cli_reports_the_budget_error(self, capsys):
         from mullsem.cli import main

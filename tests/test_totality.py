@@ -8,7 +8,7 @@ from oracles import (brute_biclosure, brute_orthogonal, brute_upward_closure,
 from mullsem import _kernels as kernels
 from mullsem.budgets import Budgets
 from mullsem.errors import (BudgetExceeded, CarrierTooLarge,
-                            UnsupportedConstructor)
+                            IterationBudgetExceeded, UnsupportedConstructor)
 from mullsem.formula import parse, substitute
 from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
                               UNIT, bag_carrier, bags_over, identity_rel,
@@ -345,6 +345,12 @@ class TestErrorsAndEnv:
         big = Carrier([f"e{i}" for i in range(5)])
         with pytest.raises(CarrierTooLarge):
             enumerate_families(big)
+
+    def test_iteration_budget(self):
+        with pytest.raises(IterationBudgetExceeded,
+                           match="^no stabilization within 1 iterations$"):
+            interpret_totality(parse("mu x. 1 + x"),
+                               budgets=Budgets(iter_cap=1))
 
 
 class TestExponentials:
