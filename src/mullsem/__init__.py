@@ -5,41 +5,57 @@ fixpoint binders and interprets them in concrete models: the
 relational model, non-uniform totality spaces (focused orthogonality
 over relations), finite phase spaces, and weighted relations over
 continuous semirings.
+
+Importing the package loads no model: each public name below, and each
+submodule, is imported on first access (PEP 562), so a command pays
+only for the model it runs.
 """
 
-from .budgets import Budgets, DEFAULT_BUDGETS
-from .formula import (Bot, Context, EMPTY_CONTEXT, Formula, Lolli, Mu, Neg,
-                      Nu, OfCourse, One, Par, Plus, Sort, Tensor, Top, Var,
-                      WhyNot, With, Zero, alpha_eq, check_variance, free_vars,
-                      nnf, parse, substitute, to_text)
-from .lattice import FiniteLattice, MonotoneOp, gfp, lfp
-from .phase import (PhaseSpace, fact_closure, holds, interpret_phase,
-                    parse_phase_space, search_counter_model)
-from .relmodel import (Carrier, Elem, Relation, compose_rel,
-                       functor_on_relations, interpret_carrier)
-from .totality import (TotalitySpace, UpFamily, biclosure,
-                       check_total_morphism, interpret_totality, orthogonal)
-from .wrel import (FunExpr, PoleSpec, SemiringMatrix, Verdict, bipolar_member,
-                   check_uniformity, compose, is_admissible_pole,
-                   kleene_fixpoint, orthogonal_pair)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Budgets", "DEFAULT_BUDGETS",
-    "Bot", "Context", "EMPTY_CONTEXT", "Formula", "Lolli", "Mu", "Neg", "Nu",
-    "OfCourse", "One", "Par", "Plus", "Sort", "Tensor", "Top", "Var",
-    "WhyNot", "With", "Zero", "alpha_eq", "check_variance", "free_vars",
-    "nnf", "parse", "substitute", "to_text",
-    "FiniteLattice", "MonotoneOp", "gfp", "lfp",
-    "PhaseSpace", "fact_closure", "holds", "interpret_phase",
-    "parse_phase_space", "search_counter_model",
-    "Carrier", "Elem", "Relation", "compose_rel", "functor_on_relations",
-    "interpret_carrier",
-    "TotalitySpace", "UpFamily", "biclosure", "check_total_morphism",
-    "interpret_totality", "orthogonal",
-    "FunExpr", "PoleSpec", "SemiringMatrix", "Verdict", "bipolar_member",
-    "check_uniformity", "compose", "is_admissible_pole", "kleene_fixpoint",
-    "orthogonal_pair",
-    "__version__",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "budgets": ("Budgets", "DEFAULT_BUDGETS"),
+    "formula": ("Bot", "Context", "EMPTY_CONTEXT", "Formula", "Lolli", "Mu",
+                "Neg", "Nu", "OfCourse", "One", "Par", "Plus", "Sort",
+                "Tensor", "Top", "Var", "WhyNot", "With", "Zero", "alpha_eq",
+                "check_variance", "free_vars", "nnf", "parse", "substitute",
+                "to_text"),
+    "lattice": ("FiniteLattice", "MonotoneOp", "gfp", "lfp"),
+    "phase": ("PhaseSpace", "fact_closure", "holds", "interpret_phase",
+              "parse_phase_space", "search_counter_model"),
+    "relmodel": ("Carrier", "Elem", "Relation", "compose_rel",
+                 "functor_on_relations", "interpret_carrier"),
+    "totality": ("TotalitySpace", "UpFamily", "biclosure",
+                 "check_total_morphism", "interpret_totality", "orthogonal"),
+    "wrel": ("FunExpr", "PoleSpec", "SemiringMatrix", "Verdict",
+             "bipolar_member", "check_uniformity", "compose",
+             "is_admissible_pole", "kleene_fixpoint", "orthogonal_pair"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    """Import a public name's submodule, or a submodule, on first access
+    and keep the value in the package namespace."""
+    if name in _SOURCE:
+        value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    else:
+        try:
+            value = import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,26 +11,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from fractions import Fraction
 
-from . import phase as phase_mod
-from . import relmodel, totality, wrel
+# each command imports the modules it runs, so a command pays start-up
+# only for its own model
 from .budgets import DEFAULT_BAG, DEFAULT_DEPTH, Budgets
 from .errors import (BudgetExceeded, CarrierTooLarge, FileFormatError,
                      IterationBudgetExceeded, MullsemError, ParseError,
                      PreconditionFailed, UnboundVariable,
                      UnsupportedConstructor, VarianceError)
-from .formula import EMPTY_CONTEXT, check_variance, parse, to_text
-from .semiring import BOOL
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 DEPTH_ENV_VAR = "MULL_BUDGET_DEPTH"
+# the keys of wrel.NAMED_POLES, sorted; the parser lists them without
+# importing wrel
+POLES = ("nat", "pcoh", "totality")
 
 
 def _default_depth():
@@ -85,7 +84,7 @@ def build_parser():
     polar.add_argument("--point", required=True, help="vector file")
 
     adm = sub.add_parser("admissible", help="admissibility verdict for a pole")
-    adm.add_argument("--pole", required=True, choices=sorted(wrel.NAMED_POLES))
+    adm.add_argument("--pole", required=True, choices=POLES)
 
     return top
 
@@ -117,6 +116,7 @@ def _read(path):
 
 
 def cmd_variance(args):
+    from .formula import EMPTY_CONTEXT, check_variance, parse, to_text
     f = parse(args.formula)
     sort = check_variance(EMPTY_CONTEXT, f)
     payload = {"command": "variance", "formula": to_text(f),
@@ -125,12 +125,14 @@ def cmd_variance(args):
 
 
 def cmd_interp(args):
+    from .formula import EMPTY_CONTEXT, check_variance, parse, to_text
     f = parse(args.formula)
     check_variance(EMPTY_CONTEXT, f)
     budgets = _budgets(args)
     budget_info = {"depth": budgets.depth, "bag": budgets.bag}
     if args.model == "rel":
-        carrier = relmodel.interpret_carrier(f, {}, budgets)
+        from .relmodel import interpret_carrier
+        carrier = interpret_carrier(f, {}, budgets)
         payload = {"command": "interp", "model": "rel",
                    "formula": to_text(f), "budgets": budget_info,
                    "carrier": [str(e) for e in carrier],
@@ -141,7 +143,8 @@ def cmd_interp(args):
         lines += [f"  {e}" for e in carrier]
         return _emit(args, payload, lines)
     if args.model == "totality":
-        space = totality.interpret_totality(f, {}, budgets)
+        from .totality import interpret_totality
+        space = interpret_totality(f, {}, budgets)
         antichain = [sorted(str(e) for e in s) for s in space.family.min_sets()]
         antichain.sort()
         payload = {"command": "interp", "model": "totality",
@@ -157,9 +160,10 @@ def cmd_interp(args):
     if args.model == "phase":
         if not args.space:
             raise FileFormatError("the phase model needs --space FILE")
-        space = phase_mod.parse_phase_space(_read(args.space))
-        fact = phase_mod.interpret_phase(space, f, {})
-        valid = phase_mod.holds(space, f)
+        from .phase import holds, interpret_phase, parse_phase_space
+        space = parse_phase_space(_read(args.space))
+        fact = interpret_phase(space, f, {})
+        valid = holds(space, f)
         payload = {"command": "interp", "model": "phase",
                    "formula": to_text(f), "budgets": budget_info,
                    "space": space.to_dict(),
@@ -171,7 +175,9 @@ def cmd_interp(args):
         return _emit(args, payload, lines)
     # wrel: the weighted models share objects with the relational model;
     # report the carrier with its boolean characteristic vector
-    carrier = relmodel.interpret_carrier(f, {}, budgets)
+    from .relmodel import interpret_carrier
+    from .semiring import BOOL
+    carrier = interpret_carrier(f, {}, budgets)
     vec = {str(e): "1" for e in carrier}
     payload = {"command": "interp", "model": "wrel",
                "formula": to_text(f), "budgets": budget_info,
@@ -186,24 +192,30 @@ def cmd_interp(args):
 
 
 def cmd_phase_search(args):
+    from .formula import EMPTY_CONTEXT, check_variance, parse, to_text
+    from .phase import render_phase_space, search_counter_model
     f = parse(args.formula)
     check_variance(EMPTY_CONTEXT, f)
     if args.max_size < 1 or args.max_size > 5:
         raise FileFormatError("--max-size must be between 1 and 5")
-    found = phase_mod.search_counter_model(f, args.max_size)
+    found = search_counter_model(f, args.max_size)
     payload = {"command": "phase-search", "formula": to_text(f),
                "max_size": args.max_size,
                "counter_model": found.to_dict() if found else None}
     if found:
         lines = ["counter-model found:"]
         lines += ["  " + ln for ln in
-                  phase_mod.render_phase_space(found).strip().splitlines()]
+                  render_phase_space(found).strip().splitlines()]
     else:
         lines = [f"no counter-model up to size {args.max_size}"]
     return _emit(args, payload, lines)
 
 
 def cmd_fix(args):
+    import math
+    from fractions import Fraction
+
+    from . import wrel
     expr = wrel.parse_funexpr(_read(args.expr))
     try:
         tol = Fraction(args.tol) if args.mode == "exact" else float(args.tol)
@@ -226,6 +238,7 @@ def cmd_fix(args):
 
 
 def cmd_polar(args):
+    from . import wrel
     gens = wrel.parse_matrix(_read(args.generators))
     point = wrel.parse_vector(_read(args.point))
     member = wrel.bipolar_member_matrix(gens, point)
@@ -238,6 +251,7 @@ def cmd_polar(args):
 
 
 def cmd_admissible(args):
+    from . import wrel
     pole = wrel.NAMED_POLES[args.pole]()
     report = wrel.is_admissible_pole(pole)
     payload = {"command": "admissible", "pole": pole.name,

@@ -248,8 +248,18 @@ def _fix(space, x, body, env, least):
 
 def holds(space: PhaseSpace, f: Formula) -> bool:
     """Validity as membership of the monoid unit in the denoted fact."""
-    if free_vars(f):
-        raise UnboundVariable(sorted(free_vars(f))[0])
+    _check_closed(f)
+    return _holds(space, f)
+
+
+def _check_closed(f):
+    free = free_vars(f)
+    if free:
+        raise UnboundVariable(sorted(free)[0])
+
+
+def _holds(space, f) -> bool:
+    """holds for a formula already known to be closed."""
     return bool(_eval(space, f, {}) >> space._unit_index & 1)
 
 
@@ -362,8 +372,9 @@ def search_counter_model(f: Formula, max_size: int = 5):
     """First enumerated space in which f does not hold, or None."""
     if max_size > 5:
         raise ValueError("counter-model search is capped at monoids of size 5")
+    _check_closed(f)  # once per search, not once per space
     for space in enumerate_spaces(max_size):
-        if not holds(space, f):
+        if not _holds(space, f):
             return space
     return None
 

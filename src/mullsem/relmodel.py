@@ -251,6 +251,20 @@ class Relation:
             if a not in src or b not in tgt:
                 raise CarrierMismatch(f"pair ({a}, {b}) outside the carriers")
 
+    @classmethod
+    def _trusted(cls, src: Carrier, tgt: Carrier, pairs: frozenset
+                 ) -> "Relation":
+        """Relation whose pairs are known to lie in src x tgt.
+
+        For results built from validated relations or matrices;
+        everything else goes through the checking constructor.
+        """
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "src", src)
+        object.__setattr__(rel, "tgt", tgt)
+        object.__setattr__(rel, "pairs", pairs)
+        return rel
+
     def image(self, subset) -> frozenset:
         subset = set(subset)
         return frozenset(b for a, b in self.pairs if a in subset)
@@ -277,7 +291,7 @@ def compose_rel(f: Relation, g: Relation) -> Relation:
     for b, c in g.pairs:
         by_src.setdefault(b, set()).add(c)
     pairs = {(a, c) for a, b in f.pairs for c in by_src.get(b, ())}
-    return Relation(f.src, g.tgt, frozenset(pairs))
+    return Relation._trusted(f.src, g.tgt, frozenset(pairs))
 
 
 def point(carrier: Carrier, subset) -> Relation:
@@ -452,6 +466,8 @@ def _act(f, rels, budgets) -> Relation:
             rb = _act(b, rels, budgets)
             _guard(comb(max(len(rb.src), len(rb.tgt)) + budgets.bag,
                         budgets.bag), budgets)
+            # and one bag of pairs per multiset of up to k of its p pairs
+            _guard(comb(len(rb.pairs) + budgets.bag, budgets.bag), budgets)
             base = sorted(rb.pairs)
             pairs = set()
             for n in range(budgets.bag + 1):

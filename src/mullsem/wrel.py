@@ -47,6 +47,22 @@ class SemiringMatrix:
             if v != semiring.zero:
                 self.entries[(r, c)] = v
 
+    @classmethod
+    def _trusted(cls, semiring: Semiring, rows: tuple, cols: tuple,
+                 entries: dict) -> "SemiringMatrix":
+        """Matrix on duplicate-free index tuples whose entries are known
+        to be non-zero semiring values inside rows x cols.
+
+        For results built from validated matrices; everything else goes
+        through the checking constructor.
+        """
+        mat = object.__new__(cls)
+        mat.semiring = semiring
+        mat.rows = rows
+        mat.cols = cols
+        mat.entries = entries
+        return mat
+
     def get(self, r, c):
         return self.entries.get((r, c), self.semiring.zero)
 
@@ -86,7 +102,9 @@ def compose(f: SemiringMatrix, g: SemiringMatrix) -> SemiringMatrix:
         for c, v in by_row.get(b, ()):
             key = (a, c)
             out[key] = sr.add(out.get(key, sr.zero), sr.mul(u, v))
-    return SemiringMatrix(sr, f.rows, g.cols, out)
+    # a product can still be zero (a float underflow)
+    return SemiringMatrix._trusted(
+        sr, f.rows, g.cols, {k: v for k, v in out.items() if v != sr.zero})
 
 
 def vector(semiring: Semiring, cols, values) -> SemiringMatrix:
@@ -117,16 +135,17 @@ def orthogonal_pair(x: SemiringMatrix, y: SemiringMatrix, pole) -> bool:
 
 def relation_to_matrix(rel) -> SemiringMatrix:
     """Boolean matrix of a relation from the relational model."""
-    return SemiringMatrix(BOOL, rel.src.elems, rel.tgt.elems,
-                          {(a, b): True for a, b in rel.pairs})
+    # a relation's pairs lie in its carriers, whose elements are distinct
+    return SemiringMatrix._trusted(BOOL, rel.src.elems, rel.tgt.elems,
+                                   {(a, b): True for a, b in rel.pairs})
 
 
 def matrix_to_relation(mat: SemiringMatrix):
     from .relmodel import Carrier, Relation
     if mat.semiring is not BOOL:
         raise ValueError("only boolean matrices induce relations")
-    return Relation(Carrier(mat.rows), Carrier(mat.cols),
-                    frozenset(k for k, v in mat.entries.items() if v))
+    return Relation._trusted(Carrier(mat.rows), Carrier(mat.cols),
+                             frozenset(k for k, v in mat.entries.items() if v))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mullsem.cli import main
+from mullsem.cli import POLES, main
+from mullsem.wrel import NAMED_POLES
 
 SIGN_SPACE = """\
 elements 1 -1
@@ -259,6 +260,16 @@ class TestAdmissible:
         _, data, _ = run_json(capsys, "admissible", "--pole", "nat")
         assert data["witness_chain"] == ["0", "1", "2", "3", "4", "5"]
         assert data["witness_sup"] == "inf"
+
+    def test_pole_choices_are_the_named_poles(self):
+        # the parser lists the poles without importing wrel
+        assert POLES == tuple(sorted(NAMED_POLES))
+
+    def test_unknown_pole_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["admissible", "--pole", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestMachineStability:

@@ -3,7 +3,9 @@ from itertools import permutations
 import pytest
 
 from oracles import brute_commutative_monoid_count, powerset
-from mullsem.errors import FileFormatError, IterationBudgetExceeded
+from mullsem import phase
+from mullsem.errors import (FileFormatError, IterationBudgetExceeded,
+                            UnboundVariable)
 from mullsem.formula import Mu, Neg, Nu, parse, nnf, substitute
 from mullsem.phase import (PhaseSpace, enumerate_commutative_monoids,
                            enumerate_spaces, fact_closure, holds,
@@ -151,6 +153,18 @@ class TestSearch:
     def test_cap(self):
         with pytest.raises(ValueError):
             search_counter_model(parse("1"), 6)
+
+    def test_free_variables_checked_once_per_search(self, monkeypatch):
+        calls = []
+        original = phase.free_vars
+        monkeypatch.setattr(phase, "free_vars",
+                            lambda f: calls.append(f) or original(f))
+        assert search_counter_model(parse("1"), 3) is None
+        assert len(calls) == 1
+        with pytest.raises(UnboundVariable, match="'x'"):
+            search_counter_model(parse("1 * x"), 3)
+        with pytest.raises(UnboundVariable, match="'x'"):
+            holds(SIGN, parse("1 * x"))
 
 
 def reference_commutative_monoids(n):

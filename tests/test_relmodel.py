@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from itertools import product as iproduct
 
 import pytest
@@ -198,6 +199,16 @@ class TestFunctorOnRelations:
         out = functor_on_relations(parse("!x"), "x", r, {}, Budgets(bag=2))
         assert (Bag(("a0", "a0")), Bag(("b0", "b0"))) in out.pairs
         assert (Bag(()), Bag(())) in out.pairs
+
+    def test_bags_of_pairs_guarded_before_enumeration(self):
+        # 12 elements at bag 3 give carriers of C(15, 3) = 455 bags, but a
+        # full relation has 144 pairs and C(147, 3) = 518,665 bags of pairs
+        c = Carrier([f"c{i:02}" for i in range(12)])
+        full = Relation(c, c, frozenset(iproduct(c, c)))
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="518665 exceeds cap 20000"):
+            functor_on_relations(parse("!x"), "x", full, budgets=Budgets(bag=3))
+        assert time.perf_counter() - started < 1.0
 
     def test_truncated_chain_returns_last_iterate(self):
         one = interpret_carrier(parse("1"))
