@@ -136,6 +136,7 @@ BOT = Bot()
 _BINARY = {Tensor: "*", Par: "|", Plus: "+", With: "&", Lolli: "-o"}
 _UNARY = {OfCourse: "!", WhyNot: "?", Neg: "~"}
 _PREFIX = {op: ctor for ctor, op in _UNARY.items()}
+_BINDERS = (Mu, Nu)
 
 
 class Context:
@@ -381,7 +382,9 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # printing
 
-_LOLLI, _ADD, _MUL, _UNARY_LVL, _ATOM = 0, 1, 2, 3, 4
+_LOLLI, _ADD, _MUL, _UNARY_LVL = 0, 1, 2, 3
+_LEVEL = {Tensor: _MUL, Par: _MUL, Plus: _ADD, With: _ADD, Lolli: _LOLLI}
+_ATOMS = {One: "1", Zero: "0", Top: "top", Bot: "bot"}
 
 
 def to_text(f: Formula) -> str:
@@ -390,53 +393,91 @@ def to_text(f: Formula) -> str:
 
 
 def _print(f, level, right_edge):
-    match f:
-        case One():
-            return "1"
-        case Zero():
-            return "0"
-        case Top():
-            return "top"
-        case Bot():
-            return "bot"
-        case Var(name):
-            return name
-        case Neg(b) | OfCourse(b) | WhyNot(b):
-            return _UNARY[type(f)] + _print(b, _UNARY_LVL, right_edge)
-        case Tensor(a, b) | Par(a, b):
-            s = (_print(a, _MUL, False) + f" {_BINARY[type(f)]} "
-                 + _print(b, _MUL + 1, right_edge))
-            return s if level <= _MUL else f"({s})"
-        case Plus(a, b) | With(a, b):
-            s = (_print(a, _ADD, False) + f" {_BINARY[type(f)]} "
-                 + _print(b, _ADD + 1, right_edge))
-            return s if level <= _ADD else f"({s})"
-        case Lolli(a, b):
-            s = _print(a, _ADD, False) + " -o " + _print(b, _LOLLI, right_edge)
-            return s if level <= _LOLLI else f"({s})"
-        case Mu(x, b) | Nu(x, b):
-            kw = "mu" if isinstance(f, Mu) else "nu"
-            s = f"{kw} {x}. " + _print(b, _LOLLI, True)
-            return s if right_edge else f"({s})"
+    t = type(f)
+    if t is Var:
+        return f.name
+    if t in _ATOMS:
+        return _ATOMS[t]
+    if t in _UNARY:
+        return _UNARY[t] + _print(f.body, _UNARY_LVL, right_edge)
+    if t in _BINDERS:
+        kw = "mu" if t is Mu else "nu"
+        s = f"{kw} {f.var}. " + _print(f.body, _LOLLI, True)
+        return s if right_edge else f"({s})"
+    if t not in _BINARY:
+        raise TypeError(f"not a formula: {f!r}")
+    # * | + & associate to the left and -o to the right
+    own = _LEVEL[t]
+    left, right = (own + 1, own) if t is Lolli else (own, own + 1)
+    s = (_print(f.left, left, False) + f" {_BINARY[t]} "
+         + _print(f.right, right, right_edge))
+    return s if level <= own else f"({s})"
+
+
+# ---------------------------------------------------------------------------
+# the walk over subformulas, and the fold the models evaluate through
+
+# the constructors whose fold entries walk their body themselves, under
+# the environment they need
+_SCOPED = (Neg, Mu, Nu)
+
+
+def operands(f: Formula) -> tuple:
+    """The immediate subformulas of f, left to right."""
+    t = type(f)
+    if t in _BINARY:
+        return (f.left, f.right)
+    if t in _UNARY or t in _BINDERS:
+        return (f.body,)
+    if t in _ATOMS or t is Var:
+        return ()
     raise TypeError(f"not a formula: {f!r}")
+
+
+def fold(f: Formula, env, table, ctx):
+    """The value of f in the model given by a connective table.
+
+    The rel, totality and phase models evaluate formulas through this
+    one fold.  A model is a table from constructor classes to entries,
+    and ``ctx`` is what its entries share (budgets, a phase space, a
+    carrier cache).
+
+    - A ``Var`` is looked up in ``env``; UnboundVariable if absent.
+    - The ``Neg``, ``Mu`` and ``Nu`` entries get ``(ctx, node, env)``
+      and fold the body themselves, under the environment they need.
+    - Every other entry gets ``ctx`` and the values of the operands,
+      left to right.
+    - A table without a ``Lolli`` entry reads ``a -o b`` as ``~a | b``.
+    """
+    t = type(f)
+    if t is Var:
+        if f.name not in env:
+            raise UnboundVariable(f.name)
+        return env[f.name]
+    entry = table.get(t)
+    if entry is None:
+        if t is Lolli:
+            return fold(Par(Neg(f.left), f.right), env, table, ctx)
+        raise TypeError(f"not a formula: {f!r}")
+    # the operands() walk, unrolled: this is the models' inner loop
+    if t in _BINARY:
+        return entry(ctx, fold(f.left, env, table, ctx),
+                     fold(f.right, env, table, ctx))
+    if t in _SCOPED:
+        return entry(ctx, f, env)
+    if t in _UNARY:
+        return entry(ctx, fold(f.body, env, table, ctx))
+    return entry(ctx)
 
 
 # ---------------------------------------------------------------------------
 # free variables, substitution, alpha-equivalence
 
 def free_vars(f: Formula) -> frozenset[str]:
-    match f:
-        case Var(name):
-            return frozenset((name,))
-        case One() | Zero() | Top() | Bot():
-            return frozenset()
-        case Neg(b) | OfCourse(b) | WhyNot(b):
-            return free_vars(b)
-        case Tensor(a, b) | Par(a, b) | Plus(a, b) | With(a, b) | Lolli(a, b):
-            return free_vars(a) | free_vars(b)
-        case Mu(x, b) | Nu(x, b):
-            return free_vars(b) - {x}
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) is Var:
+        return frozenset((f.name,))
+    free = frozenset().union(*map(free_vars, operands(f)))
+    return free - {f.var} if type(f) in _BINDERS else free
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -449,37 +490,20 @@ def fresh_name(base: str, avoid) -> str:
 
 def substitute(f: Formula, x: str, g: Formula) -> Formula:
     """Capture-avoiding substitution of g for free occurrences of x in f."""
-    match f:
-        case Var(name):
-            return g if name == x else f
-        case One() | Zero() | Top() | Bot():
+    t = type(f)
+    if t is Var:
+        return g if f.name == x else f
+    if t in _BINDERS:
+        y, b = f.var, f.body
+        if y == x or x not in free_vars(b):
             return f
-        case Neg(b):
-            return Neg(substitute(b, x, g))
-        case OfCourse(b):
-            return OfCourse(substitute(b, x, g))
-        case WhyNot(b):
-            return WhyNot(substitute(b, x, g))
-        case Tensor(a, b):
-            return Tensor(substitute(a, x, g), substitute(b, x, g))
-        case Par(a, b):
-            return Par(substitute(a, x, g), substitute(b, x, g))
-        case Plus(a, b):
-            return Plus(substitute(a, x, g), substitute(b, x, g))
-        case With(a, b):
-            return With(substitute(a, x, g), substitute(b, x, g))
-        case Lolli(a, b):
-            return Lolli(substitute(a, x, g), substitute(b, x, g))
-        case Mu(y, b) | Nu(y, b):
-            ctor = type(f)
-            if y == x or x not in free_vars(b):
-                return f
-            if y in free_vars(g):
-                y2 = fresh_name(y, free_vars(b) | free_vars(g) | {x})
-                b = substitute(b, y, Var(y2))
-                y = y2
-            return ctor(y, substitute(b, x, g))
-    raise TypeError(f"not a formula: {f!r}")
+        if y in free_vars(g):
+            y2 = fresh_name(y, free_vars(b) | free_vars(g) | {x})
+            b = substitute(b, y, Var(y2))
+            y = y2
+        return t(y, substitute(b, x, g))
+    parts = operands(f)
+    return t(*[substitute(p, x, g) for p in parts]) if parts else f
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
@@ -488,87 +512,123 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
 
 
 def _alpha(f, g, envf, envg, counter):
-    if type(f) is not type(g):
+    t = type(f)
+    if t is not type(g):
         return False
-    match f, g:
-        case (Var(a), Var(b)):
-            return envf.get(a, ("free", a)) == envg.get(b, ("free", b))
-        case (One(), _) | (Zero(), _) | (Top(), _) | (Bot(), _):
-            return True
-        case (Neg(a), Neg(b)) | (OfCourse(a), OfCourse(b)) | (WhyNot(a), WhyNot(b)):
-            return _alpha(a, b, envf, envg, counter)
-        case ((Tensor(a1, a2), Tensor(b1, b2)) | (Par(a1, a2), Par(b1, b2))
-              | (Plus(a1, a2), Plus(b1, b2)) | (With(a1, a2), With(b1, b2))
-              | (Lolli(a1, a2), Lolli(b1, b2))):
-            return (_alpha(a1, b1, envf, envg, counter)
-                    and _alpha(a2, b2, envf, envg, counter))
-        case (Mu(x, a), Mu(y, b)) | (Nu(x, a), Nu(y, b)):
-            tag = ("bound", counter[0])
-            counter[0] += 1
-            return _alpha(a, b, {**envf, x: tag}, {**envg, y: tag}, counter)
-    return False
+    if t is Var:
+        return (envf.get(f.name, ("free", f.name))
+                == envg.get(g.name, ("free", g.name)))
+    if t in _BINDERS:
+        tag = ("bound", counter[0])
+        counter[0] += 1
+        envf, envg = {**envf, f.var: tag}, {**envg, g.var: tag}
+    return all(_alpha(a, b, envf, envg, counter)
+               for a, b in zip(operands(f), operands(g)))
 
 
 # ---------------------------------------------------------------------------
 # variance checking
 
 def _show_sorts(sorts):
-    if not sorts:
-        return "(none)"
-    return "/".join(str(s) for s in sorted(sorts, key=lambda s: s.value))
+    return "/".join(sorted(s.value for s in sorts))
 
 
 def _sorts(f, env):
-    """Set of sorts derivable for f under env (name -> Sort)."""
-    match f:
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(name)
-            return {env[name]}
-        case One() | Zero() | Top() | Bot():
+    """Set of sorts derivable for f under env (name -> Sort).
+
+    One pass: every rule equates the sort of a subformula with the sort
+    of another or with its dual, so a parity union-find over one
+    unknown per constant and binder solves them all.  A handle (u, p)
+    is the sort of unknown u, dualized when p is 1.  Unknown 0 is the
+    sort +; an unknown not joined to it is free, derivable at both.
+    """
+    parent, parity = [0], [0]  # an unknown's sort is its parent's ^ parity
+
+    def new():
+        parent.append(len(parent))
+        parity.append(0)
+        return (len(parent) - 1, 0)
+
+    def find(h):
+        u, p = h
+        while parent[u] != u:  # path halving: u skips its parent
+            v = parent[u]
+            parent[u], parity[u] = parent[v], parity[u] ^ parity[v]
+            p ^= parity[u]
+            u = parent[u]
+        return u, p
+
+    def sorts(h):
+        root, p = find(h)
+        return {POS, NEG} if root else {NEG if p else POS}
+
+    def equate(a, b):
+        """Give a and b one sort; False if they always differ."""
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra == rb:
+            return pa == pb
+        if not ra:  # unknown 0 stays a root
+            ra, rb = rb, ra
+        parent[ra], parity[ra] = rb, pa ^ pb
+        return True
+
+    def fail(g, detail, binder):
+        # a conflict inside binders fails the body under both sorts of
+        # every binder around it; the error names the outermost one
+        if binder is None:
+            raise VarianceError(g, detail)
+        raise VarianceError(binder, f"under {binder.var}:+ and {binder.var}:- "
+                                    f"the body fails ({detail} in '{g}')")
+
+    def walk(g, scope, binder):
+        """Handle of g's sort; binder is the outermost binder around g."""
+        t = type(g)
+        if t is Var:
+            if g.name not in scope:
+                raise UnboundVariable(g.name)
+            return scope[g.name]
+        if t in _BINDERS:
+            x = new()
+            body = walk(g.body, {**scope, g.var: x}, binder or g)
+            if not equate(x, body):  # the body has the dual sort of x
+                forced = sorts(x)
+                if len(forced) == 2:
+                    detail = (f"body has sort - under {g.var}:+; "
+                              f"body has sort + under {g.var}:-")
+                else:  # the free variables fix the sort of x
+                    (v,) = forced
+                    detail = (f"body has sort {v.dual()} under {g.var}:{v}; "
+                              f"under {g.var}:{v.dual()} the body fails")
+                fail(g, detail, binder)
+            return x
+        parts = [walk(p, scope, binder) for p in operands(g)]
+        if not parts:
             # constants denote constant functors, covariant and
             # contravariant alike; this also makes negation normal form
             # sort-preserving (~1 has sort -, and its normal form bot
             # must be derivable there)
-            return {POS, NEG}
-        case Neg(b):
-            return {s.dual() for s in _sorts(b, env)}
-        case OfCourse(b) | WhyNot(b):
-            return _sorts(b, env)
-        case Tensor(a, b) | Par(a, b) | Plus(a, b) | With(a, b):
-            sa, sb = _sorts(a, env), _sorts(b, env)
-            meet = sa & sb
-            if not meet:
-                raise VarianceError(
-                    f, f"operands derive {_show_sorts(sa)} vs {_show_sorts(sb)}")
-            return meet
-        case Lolli(a, b):
-            sa = {s.dual() for s in _sorts(a, env)}
-            sb = _sorts(b, env)
-            meet = sa & sb
-            if not meet:
-                raise VarianceError(
-                    f, "left operand derives "
-                       f"{_show_sorts({s.dual() for s in sa})} "
-                       f"(needs the dual sort) vs right {_show_sorts(sb)}")
-            return meet
-        case Mu(x, b) | Nu(x, b):
-            derivable = set()
-            failures = []
-            for v in (POS, NEG):
-                try:
-                    got = _sorts(b, {**env, x: v})
-                except VarianceError as err:
-                    failures.append(f"under {x}:{v} the body fails ({err.detail})")
-                    continue
-                if v in got:
-                    derivable.add(v)
-                else:
-                    failures.append(f"body has sort {_show_sorts(got)} under {x}:{v}")
-            if not derivable:
-                raise VarianceError(f, "; ".join(failures))
-            return derivable
-    raise TypeError(f"not a formula: {f!r}")
+            return new()
+        if t is Neg:
+            return (parts[0][0], parts[0][1] ^ 1)
+        if len(parts) == 1:
+            return parts[0]
+        a, b = parts
+        if equate((a[0], a[1] ^ 1) if t is Lolli else a, b):
+            return b
+        sa, sb = sorts(a), sorts(b)
+        fixed = len(sa) == 1  # a and b share a root: both or neither are
+        if t is Lolli:
+            detail = (f"left operand derives {_show_sorts(sa)} (needs the "
+                      f"dual sort) vs right {_show_sorts(sb)}" if fixed else
+                      "left operand derives the sort of the right (needs "
+                      "the dual sort)")
+        else:
+            detail = (f"operands derive {_show_sorts(sa)} vs {_show_sorts(sb)}"
+                      if fixed else "operands derive dual sorts")
+        fail(g, detail, binder)
+
+    scope = {name: (0, int(s is NEG)) for name, s in env.items()}
+    return sorts(walk(f, scope, None))
 
 
 def check_variance(ctx: Context, f: Formula) -> Sort:
@@ -589,71 +649,40 @@ def check_variance(ctx: Context, f: Formula) -> Sort:
 # ---------------------------------------------------------------------------
 # negation normal form
 
+# the De Morgan dual of each constructor that negation passes through
+_DUAL = {One: Bot, Bot: One, Zero: Top, Top: Zero, OfCourse: WhyNot,
+         WhyNot: OfCourse, Tensor: Par, Par: Tensor, Plus: With, With: Plus,
+         Mu: Nu, Nu: Mu}
+
+
 def nnf(f: Formula) -> Formula:
     """Push negation to the variables via the De Morgan dualities.
 
     The result contains Neg only directly on variables and denotes the
     same fact in every finite phase space.
     """
-    match f:
-        case Neg(b):
-            return _nnf_neg(b)
-        case One() | Zero() | Top() | Bot() | Var(_):
-            return f
-        case OfCourse(b):
-            return OfCourse(nnf(b))
-        case WhyNot(b):
-            return WhyNot(nnf(b))
-        case Tensor(a, b):
-            return Tensor(nnf(a), nnf(b))
-        case Par(a, b):
-            return Par(nnf(a), nnf(b))
-        case Plus(a, b):
-            return Plus(nnf(a), nnf(b))
-        case With(a, b):
-            return With(nnf(a), nnf(b))
-        case Lolli(a, b):
-            return Lolli(nnf(a), nnf(b))
-        case Mu(x, b):
-            return Mu(x, nnf(b))
-        case Nu(x, b):
-            return Nu(x, nnf(b))
-    raise TypeError(f"not a formula: {f!r}")
+    t = type(f)
+    if t is Neg:
+        return _nnf_neg(f.body)
+    if t in _BINDERS:
+        return t(f.var, nnf(f.body))
+    parts = operands(f)
+    return t(*map(nnf, parts)) if parts else f
 
 
 def _nnf_neg(f):
     """Negation normal form of Neg(f)."""
-    match f:
-        case One():
-            return BOT
-        case Bot():
-            return ONE
-        case Zero():
-            return TOP
-        case Top():
-            return ZERO
-        case Var(_):
-            return Neg(f)
-        case Neg(b):
-            return nnf(b)
-        case OfCourse(b):
-            return WhyNot(_nnf_neg(b))
-        case WhyNot(b):
-            return OfCourse(_nnf_neg(b))
-        case Tensor(a, b):
-            return Par(_nnf_neg(a), _nnf_neg(b))
-        case Par(a, b):
-            return Tensor(_nnf_neg(a), _nnf_neg(b))
-        case Plus(a, b):
-            return With(_nnf_neg(a), _nnf_neg(b))
-        case With(a, b):
-            return Plus(_nnf_neg(a), _nnf_neg(b))
-        case Lolli(a, b):
-            return Tensor(nnf(a), _nnf_neg(b))
-        case Mu(x, b):
-            # (mu x. b)^~ = nu x. (b[~x/x])^~; the substitution keeps the
-            # bound variable on the dual side so double negations cancel.
-            return Nu(x, _nnf_neg(substitute(b, x, Neg(Var(x)))))
-        case Nu(x, b):
-            return Mu(x, _nnf_neg(substitute(b, x, Neg(Var(x)))))
-    raise TypeError(f"not a formula: {f!r}")
+    t = type(f)
+    if t is Var:
+        return Neg(f)
+    if t is Neg:
+        return nnf(f.body)
+    if t is Lolli:
+        return Tensor(nnf(f.left), _nnf_neg(f.right))
+    if t in _BINDERS:
+        # (mu x. b)^~ = nu x. (b[~x/x])^~; the substitution keeps the
+        # bound variable on the dual side so double negations cancel.
+        return _DUAL[t](f.var, _nnf_neg(substitute(f.body, f.var,
+                                                   Neg(Var(f.var)))))
+    parts = [_nnf_neg(p) for p in operands(f)]
+    return _DUAL[t](*parts)

@@ -13,7 +13,7 @@ from itertools import permutations
 from . import _kernels as kernels
 from .errors import FileFormatError, UnboundVariable
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
-                      Plus, Tensor, Top, Var, WhyNot, With, Zero, free_vars)
+                      Plus, Tensor, Top, WhyNot, With, Zero, fold, free_vars)
 from .lattice import iterate
 
 
@@ -192,58 +192,43 @@ def orthogonal_fact(space: PhaseSpace, subset) -> frozenset:
 def interpret_phase(space: PhaseSpace, f: Formula, env=None) -> frozenset:
     """The fact denoted by a formula (environment entries must be facts)."""
     env_masks = {name: space.mask_of(s) for name, s in (env or {}).items()}
-    return space.set_of(_eval(space, f, env_masks))
+    return space.set_of(fold(f, env_masks, PHASE, space))
 
 
-def _eval(space: PhaseSpace, f, env) -> int:
-    match f:
-        case One():
-            return space.closure_mask(1 << space._unit_index)
-        case Bot():
-            return space.orthogonal_mask(1 << space._unit_index)
-        case Top():
-            return (1 << space.size) - 1
-        case Zero():
-            return space.closure_mask(0)
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(name)
-            return env[name]
-        case Neg(b):
-            return space.orthogonal_mask(_eval(space, b, env))
-        case Tensor(a, b):
-            return space.closure_mask(
-                space.product_mask(_eval(space, a, env), _eval(space, b, env)))
-        case Par(a, b):
-            return space.orthogonal_mask(space.product_mask(
-                space.orthogonal_mask(_eval(space, a, env)),
-                space.orthogonal_mask(_eval(space, b, env))))
-        case Plus(a, b):
-            return space.closure_mask(_eval(space, a, env) | _eval(space, b, env))
-        case With(a, b):
-            return _eval(space, a, env) & _eval(space, b, env)
-        case Lolli(a, b):
-            return space.orthogonal_mask(space.product_mask(
-                _eval(space, a, env),
-                space.orthogonal_mask(_eval(space, b, env))))
-        case OfCourse(b):
-            return space.closure_mask(
-                _eval(space, b, env) & space.exponential_mask())
-        case WhyNot(b):
-            inner = space.orthogonal_mask(_eval(space, b, env))
-            return space.orthogonal_mask(
-                space.closure_mask(inner & space.exponential_mask()))
-        case Mu(x, b):
-            return _fix(space, x, b, env, least=True)
-        case Nu(x, b):
-            return _fix(space, x, b, env, least=False)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _fix(space, x, body, env, least):
+def _fix(space, node, env):
+    least = type(node) is Mu
     start = space.closure_mask(0) if least else (1 << space.size) - 1
-    return iterate(lambda cur: _eval(space, body, {**env, x: cur}), start,
-                   (1 << space.size) + 2)
+    return iterate(
+        lambda cur: fold(node.body, {**env, node.var: cur}, PHASE, space),
+        start, (1 << space.size) + 2)
+
+
+# The fact of each constructor as a bitmask over the space's elements,
+# given its operands' facts.  ctx is the PhaseSpace.
+PHASE = {
+    One: lambda space: space.closure_mask(1 << space._unit_index),
+    Bot: lambda space: space.orthogonal_mask(1 << space._unit_index),
+    Top: lambda space: (1 << space.size) - 1,
+    Zero: lambda space: space.closure_mask(0),
+    Neg: lambda space, node, env: space.orthogonal_mask(
+        fold(node.body, env, PHASE, space)),
+    Tensor: lambda space, a, b: space.closure_mask(space.product_mask(a, b)),
+    # a | b is (a^~ * b^~)^~
+    Par: lambda space, a, b: space.orthogonal_mask(space.product_mask(
+        space.orthogonal_mask(a), space.orthogonal_mask(b))),
+    Plus: lambda space, a, b: space.closure_mask(a | b),
+    With: lambda space, a, b: a & b,
+    # a -o b is (a * b^~)^~
+    Lolli: lambda space, a, b: space.orthogonal_mask(space.product_mask(
+        a, space.orthogonal_mask(b))),
+    OfCourse: lambda space, a: space.closure_mask(
+        a & space.exponential_mask()),
+    # ?a is (!(a^~))^~
+    WhyNot: lambda space, a: space.orthogonal_mask(space.closure_mask(
+        space.orthogonal_mask(a) & space.exponential_mask())),
+    Mu: _fix,
+    Nu: _fix,
+}
 
 
 def holds(space: PhaseSpace, f: Formula) -> bool:
@@ -260,7 +245,7 @@ def _check_closed(f):
 
 def _holds(space, f) -> bool:
     """holds for a formula already known to be closed."""
-    return bool(_eval(space, f, {}) >> space._unit_index & 1)
+    return bool(fold(f, {}, PHASE, space) >> space._unit_index & 1)
 
 
 # ---------------------------------------------------------------------------

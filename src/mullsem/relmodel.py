@@ -13,10 +13,9 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .errors import (BudgetExceeded, CarrierMismatch,
-                     IterationBudgetExceeded, UnboundVariable)
-from .formula import (Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par, Plus,
-                      Tensor, Top, Var, WhyNot, With, Zero, Bot)
+from .errors import BudgetExceeded, CarrierMismatch, IterationBudgetExceeded
+from .formula import (Bot, Formula, Mu, Neg, Nu, OfCourse, One, Par, Plus,
+                      Tensor, Top, WhyNot, With, Zero, fold)
 from .lattice import iterate
 
 
@@ -318,16 +317,6 @@ def _bags(base, max_size: int) -> tuple:
                   for combo in combinations_with_replacement(base, n)])
 
 
-def _pairs(a, b) -> tuple:
-    # Pair(a[i], b[j]) sits at index i * len(b) + j, in key order
-    return tuple([Pair(x, y) for x in a for y in b])
-
-
-def _tagged(a, b) -> tuple:
-    # InL(a[i]) at index i, then InR(b[j]) at len(a) + j, in key order
-    return tuple([InL(x) for x in a] + [InR(y) for y in b])
-
-
 # ---------------------------------------------------------------------------
 # object interpretation
 
@@ -337,11 +326,11 @@ def interpret_carrier(f: Formula, env=None, budgets: Budgets = DEFAULT_BUDGETS,
 
     Fixpoints produce the union of the Kleene chain wrapped in Fold,
     truncated at ``budgets.depth``; ! and ? produce bags of size at most
-    ``budgets.bag``.
+    ``budgets.bag``.  The ``stabilized`` flags of the carriers in
+    ``env`` are not read: the result reports the chains of f alone.
     """
-    env = {name: c.elems for name, c in (env or {}).items()}
-    elems, stable = _interp(f, env, budgets)
-    return Carrier._ordered(elems, stabilized=stable)
+    env = {name: Carrier._ordered(c.elems) for name, c in (env or {}).items()}
+    return fold(f, env, CARRIERS, budgets)
 
 
 def _guard(size, budgets):
@@ -351,39 +340,20 @@ def _guard(size, budgets):
             f"carrier of size {size} exceeds cap {budgets.carrier_cap}")
 
 
-def _interp(f, env, budgets):
-    """Elements of f as a tuple in sort_key order, and the stable flag."""
-    match f:
-        case One() | Bot():
-            return (UNIT,), True
-        case Zero() | Top():
-            return (), True
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(name)
-            return env[name], True
-        case Neg(b):
-            return _interp(b, env, budgets)
-        case Lolli(a, b):
-            return _interp(Par(Neg(a), b), env, budgets)
-        case Tensor(a, b) | Par(a, b):
-            sa, ka = _interp(a, env, budgets)
-            sb, kb = _interp(b, env, budgets)
-            _guard(len(sa) * len(sb), budgets)
-            return _pairs(sa, sb), ka and kb
-        case Plus(a, b) | With(a, b):
-            sa, ka = _interp(a, env, budgets)
-            sb, kb = _interp(b, env, budgets)
-            _guard(len(sa) + len(sb), budgets)
-            return _tagged(sa, sb), ka and kb
-        case OfCourse(b) | WhyNot(b):
-            sb, kb = _interp(b, env, budgets)
-            # multisets of size at most k over n elements: C(n + k, k)
-            _guard(comb(len(sb) + budgets.bag, budgets.bag), budgets)
-            return _bags(sb, budgets.bag), kb
-        case Mu(x, b) | Nu(x, b):
-            return _fixpoint_carrier(x, b, env, budgets)
-    raise TypeError(f"not a formula: {f!r}")
+def _product(budgets, a, b):
+    _guard(len(a) * len(b), budgets)
+    return pair_carrier(a, b)
+
+
+def _sum(budgets, a, b):
+    _guard(len(a) + len(b), budgets)
+    return sum_carrier(a, b)
+
+
+def _bag(budgets, c):
+    # multisets of size at most k over n elements: C(n + k, k)
+    _guard(comb(len(c) + budgets.bag, budgets.bag), budgets)
+    return bag_carrier(c, budgets.bag)
 
 
 def _chain(step, start, budgets, same=operator.eq):
@@ -394,22 +364,43 @@ def _chain(step, start, budgets, same=operator.eq):
         return exc.last, False
 
 
-def _fixpoint_carrier(x, body, env, budgets):
+def _fixpoint_carrier(budgets, node, env):
+    """The Kleene chain of the body from the empty carrier, cut at the
+    depth budget, with each layer wrapped in Fold."""
     inner_stable = True
 
     def step(cur):
         nonlocal inner_stable
-        layer, ok = _interp(body, {**env, x: cur}, budgets)
-        inner_stable = inner_stable and ok
+        layer = fold(node.body, {**env, node.var: cur}, CARRIERS, budgets)
+        inner_stable = inner_stable and layer.stabilized
         _guard(len(layer), budgets)
-        # Fold keeps its argument's order
-        return tuple([Fold(e) for e in layer])
+        return _folded(layer)
 
     # every connective is monotone in x, so the chain only grows and an
     # iterate with no new element equals its predecessor
-    cur, stabilized = _chain(step, (), budgets,
+    cur, stabilized = _chain(step, EMPTY_CARRIER, budgets,
                              lambda nxt, cur: len(nxt) == len(cur))
-    return cur, stabilized and inner_stable
+    return Carrier._ordered(cur.elems, stabilized and inner_stable)
+
+
+# The carrier of each constructor (the fold reads a -o b as ~a | b).
+# ctx is the Budgets; every size is guarded before its carrier is built.
+CARRIERS = {
+    One: lambda budgets: UNIT_CARRIER,
+    Bot: lambda budgets: UNIT_CARRIER,
+    Zero: lambda budgets: EMPTY_CARRIER,
+    Top: lambda budgets: EMPTY_CARRIER,
+    # negation is the identity on objects
+    Neg: lambda budgets, node, env: fold(node.body, env, CARRIERS, budgets),
+    Tensor: _product,
+    Par: _product,
+    Plus: _sum,
+    With: _sum,
+    OfCourse: _bag,
+    WhyNot: _bag,
+    Mu: _fixpoint_carrier,
+    Nu: _fixpoint_carrier,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -426,60 +417,46 @@ def functor_on_relations(f: Formula, x: str, r: Relation, env=None,
     env = env or {}
     rels = {name: identity_rel(c) for name, c in env.items()}
     rels[x] = r
-    return _act(f, rels, budgets)
+    return fold(f, rels, ACTIONS, budgets)
 
 
-def _act(f, rels, budgets) -> Relation:
-    match f:
-        case One() | Bot():
-            return identity_rel(UNIT_CARRIER)
-        case Zero() | Top():
-            return identity_rel(EMPTY_CARRIER)
-        case Var(name):
-            if name not in rels:
-                raise UnboundVariable(name)
-            return rels[name]
-        case Neg(b):
-            flipped = {n: rel.converse() for n, rel in rels.items()}
-            return _act(b, flipped, budgets).converse()
-        case Lolli(a, b):
-            return _act(Par(Neg(a), b), rels, budgets)
-        case Tensor(a, b) | Par(a, b):
-            ra = _act(a, rels, budgets)
-            rb = _act(b, rels, budgets)
-            _guard(max(len(ra.src) * len(rb.src), len(ra.tgt) * len(rb.tgt)),
-                   budgets)
-            pairs = frozenset((Pair(a1, b1), Pair(a2, b2))
-                              for a1, a2 in ra.pairs for b1, b2 in rb.pairs)
-            return Relation(pair_carrier(ra.src, rb.src),
-                            pair_carrier(ra.tgt, rb.tgt), pairs)
-        case Plus(a, b) | With(a, b):
-            ra = _act(a, rels, budgets)
-            rb = _act(b, rels, budgets)
-            _guard(max(len(ra.src) + len(rb.src), len(ra.tgt) + len(rb.tgt)),
-                   budgets)
-            pairs = frozenset((InL(a1), InL(a2)) for a1, a2 in ra.pairs) | \
-                frozenset((InR(b1), InR(b2)) for b1, b2 in rb.pairs)
-            return Relation(sum_carrier(ra.src, rb.src),
-                            sum_carrier(ra.tgt, rb.tgt), pairs)
-        case OfCourse(b) | WhyNot(b):
-            rb = _act(b, rels, budgets)
-            _guard(comb(max(len(rb.src), len(rb.tgt)) + budgets.bag,
-                        budgets.bag), budgets)
-            # and one bag of pairs per multiset of up to k of its p pairs
-            _guard(comb(len(rb.pairs) + budgets.bag, budgets.bag), budgets)
-            base = sorted(rb.pairs)
-            pairs = set()
-            for n in range(budgets.bag + 1):
-                for combo in combinations_with_replacement(base, n):
-                    pairs.add((Bag(tuple(p[0] for p in combo)),
-                               Bag(tuple(p[1] for p in combo))))
-            return Relation(bag_carrier(rb.src, budgets.bag),
-                            bag_carrier(rb.tgt, budgets.bag),
-                            frozenset(pairs))
-        case Mu(yvar, b) | Nu(yvar, b):
-            return _fixpoint_action(yvar, b, rels, budgets)
-    raise TypeError(f"not a formula: {f!r}")
+def _converse(budgets, node, rels):
+    # contravariant: act on the converses and take the converse back
+    flipped = {n: rel.converse() for n, rel in rels.items()}
+    return fold(node.body, flipped, ACTIONS, budgets).converse()
+
+
+def _act_product(budgets, ra, rb):
+    _guard(max(len(ra.src) * len(rb.src), len(ra.tgt) * len(rb.tgt)),
+           budgets)
+    pairs = frozenset((Pair(a1, b1), Pair(a2, b2))
+                      for a1, a2 in ra.pairs for b1, b2 in rb.pairs)
+    return Relation(pair_carrier(ra.src, rb.src),
+                    pair_carrier(ra.tgt, rb.tgt), pairs)
+
+
+def _act_sum(budgets, ra, rb):
+    _guard(max(len(ra.src) + len(rb.src), len(ra.tgt) + len(rb.tgt)),
+           budgets)
+    pairs = frozenset((InL(a1), InL(a2)) for a1, a2 in ra.pairs) | \
+        frozenset((InR(b1), InR(b2)) for b1, b2 in rb.pairs)
+    return Relation(sum_carrier(ra.src, rb.src),
+                    sum_carrier(ra.tgt, rb.tgt), pairs)
+
+
+def _act_bag(budgets, rb):
+    _guard(comb(max(len(rb.src), len(rb.tgt)) + budgets.bag, budgets.bag),
+           budgets)
+    # and one bag of pairs per multiset of up to k of its p pairs
+    _guard(comb(len(rb.pairs) + budgets.bag, budgets.bag), budgets)
+    base = sorted(rb.pairs)
+    pairs = set()
+    for n in range(budgets.bag + 1):
+        for combo in combinations_with_replacement(base, n):
+            pairs.add((Bag(tuple(p[0] for p in combo)),
+                       Bag(tuple(p[1] for p in combo))))
+    return Relation(bag_carrier(rb.src, budgets.bag),
+                    bag_carrier(rb.tgt, budgets.bag), frozenset(pairs))
 
 
 def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
@@ -487,8 +464,8 @@ def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
 
     ``Pair(a[i], b[j])`` has index ``i * len(b) + j``.
     """
-    return Carrier._ordered(_pairs(a.elems, b.elems),
-                            a.stabilized and b.stabilized)
+    pairs = [Pair(x, y) for x in a.elems for y in b.elems]
+    return Carrier._ordered(tuple(pairs), a.stabilized and b.stabilized)
 
 
 def sum_carrier(a: Carrier, b: Carrier) -> Carrier:
@@ -496,7 +473,8 @@ def sum_carrier(a: Carrier, b: Carrier) -> Carrier:
 
     ``InL(a[i])`` has index ``i`` and ``InR(b[j])`` index ``len(a) + j``.
     """
-    return Carrier._ordered(_tagged(a.elems, b.elems),
+    return Carrier._ordered(tuple([InL(x) for x in a.elems]
+                                  + [InR(y) for y in b.elems]),
                             a.stabilized and b.stabilized)
 
 
@@ -510,12 +488,13 @@ def bag_carrier(c: Carrier, max_size: int) -> Carrier:
 
 
 def _folded(c: Carrier) -> Carrier:
+    # Fold keeps its argument's order
     return Carrier._ordered(tuple([Fold(e) for e in c.elems]), c.stabilized)
 
 
-def _fixpoint_action(yvar, body, rels, budgets):
+def _fixpoint_action(budgets, node, rels):
     def step(cur):
-        layer = _act(body, {**rels, yvar: cur}, budgets)
+        layer = fold(node.body, {**rels, node.var: cur}, ACTIONS, budgets)
         return Relation(
             _folded(layer.src), _folded(layer.tgt),
             frozenset((Fold(a), Fold(b)) for a, b in layer.pairs))
@@ -526,3 +505,22 @@ def _fixpoint_action(yvar, body, rels, budgets):
         return cur
     return Relation(Carrier._ordered(cur.src.elems, False),
                     Carrier._ordered(cur.tgt.elems, False), cur.pairs)
+
+
+# The relation of each constructor, given its operands' relations (the
+# fold reads a -o b as ~a | b).  ctx is the Budgets.
+ACTIONS = {
+    One: lambda budgets: identity_rel(UNIT_CARRIER),
+    Bot: lambda budgets: identity_rel(UNIT_CARRIER),
+    Zero: lambda budgets: identity_rel(EMPTY_CARRIER),
+    Top: lambda budgets: identity_rel(EMPTY_CARRIER),
+    Neg: _converse,
+    Tensor: _act_product,
+    Par: _act_product,
+    Plus: _act_sum,
+    With: _act_sum,
+    OfCourse: _act_bag,
+    WhyNot: _act_bag,
+    Mu: _fixpoint_action,
+    Nu: _fixpoint_action,
+}

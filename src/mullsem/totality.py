@@ -16,9 +16,9 @@ from math import comb
 from . import _kernels as kernels
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (BudgetExceeded, CarrierMismatch, CarrierTooLarge,
-                     UnboundVariable, UnsupportedConstructor)
+                     UnsupportedConstructor)
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
-                      Plus, Tensor, Top, Var, WhyNot, With, Zero)
+                      Plus, Tensor, Top, WhyNot, With, Zero, fold)
 from .lattice import FiniteLattice, iterate
 from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER,
                        bag_carrier, bit_indices, fold_depth,
@@ -250,14 +250,7 @@ def interpret_totality(f: Formula, env=None,
     the connective table of this model, with mu as the least and nu as
     the greatest fixpoint of the fold-reindexed body operator.
     """
-    env = env or {}
-    return _tot(f, env, budgets, {})
-
-
-def _space(carrier, minima, stabilized=True):
-    return TotalitySpace(
-        carrier, UpFamily._trusted(carrier, kernels.minimize_family(minima)),
-        stabilized)
+    return fold(f, env or {}, TOTALITY, (budgets, {}))
 
 
 def _antichain_space(carrier, minima: tuple, stabilized=True):
@@ -289,79 +282,12 @@ def _bag_supports(n: int, max_size: int) -> tuple:
                   for combo in combinations_with_replacement(range(n), k)])
 
 
-def _tot(f, env, budgets, carriers) -> TotalitySpace:
-    match f:
-        case One() | Bot():
-            return _antichain_space(UNIT_CARRIER, (1,))
-        case Zero():
-            return TotalitySpace(EMPTY_CARRIER, UpFamily.empty(EMPTY_CARRIER))
-        case Top():
-            return TotalitySpace(EMPTY_CARRIER, UpFamily.full(EMPTY_CARRIER))
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(name)
-            return env[name]
-        case Neg(b):
-            return _dual(_tot(b, env, budgets, carriers))
-        case Lolli(_, _):
-            raise UnsupportedConstructor("lolli", "totality")
-        case Tensor(a, b):
-            sa = _tot(a, env, budgets, carriers)
-            sb = _tot(b, env, budgets, carriers)
-            return _tensor(sa, sb, budgets, carriers)
-        case Par(a, b):
-            sa = _tot(a, env, budgets, carriers)
-            sb = _tot(b, env, budgets, carriers)
-            return _dual(_tensor(_dual(sa), _dual(sb), budgets, carriers))
-        case Plus(a, b):
-            sa = _tot(a, env, budgets, carriers)
-            sb = _tot(b, env, budgets, carriers)
-            carrier = _derived(carriers, sum_carrier,
-                               sa.carrier, sb.carrier)
-            if sa.family.is_full_family() or sb.family.is_full_family():
-                minima = (0,)  # the empty set absorbs the other side
-            else:
-                # nonempty minima on disjoint supports, left side first
-                na = len(sa.carrier)
-                minima = sa.family.minima + tuple(m << na
-                                                  for m in sb.family.minima)
-            return _antichain_space(carrier, minima,
-                                    sa.stabilized and sb.stabilized)
-        case With(a, b):
-            sa = _tot(a, env, budgets, carriers)
-            sb = _tot(b, env, budgets, carriers)
-            ma, mb = len(sa.family.minima), len(sb.family.minima)
-            if ma * mb > budgets.carrier_cap:
-                raise BudgetExceeded(
-                    f"& of {ma} x {mb} minimal sets ({ma * mb}) exceeds "
-                    f"cap {budgets.carrier_cap}")
-            carrier = _derived(carriers, sum_carrier,
-                               sa.carrier, sb.carrier)
-            na = len(sa.carrier)
-            # antichains on disjoint supports: their product is an
-            # antichain, and ascending in (y, x) is ascending as masks
-            minima = tuple([x | y << na for y in sb.family.minima
-                            for x in sa.family.minima])
-            return _antichain_space(carrier, minima,
-                                    sa.stabilized and sb.stabilized)
-        case OfCourse(b):
-            return _bang(_tot(b, env, budgets, carriers), budgets, carriers)
-        case WhyNot(b):
-            return _dual(_bang(_dual(_tot(b, env, budgets, carriers)),
-                               budgets, carriers))
-        case Mu(x, b):
-            return _fix(x, b, env, budgets, carriers, least=True)
-        case Nu(x, b):
-            return _fix(x, b, env, budgets, carriers, least=False)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _dual(s: TotalitySpace) -> TotalitySpace:
     return TotalitySpace(s.carrier, orthogonal(s.family), s.stabilized)
 
 
-def _tensor(sa: TotalitySpace, sb: TotalitySpace, budgets,
-            carriers) -> TotalitySpace:
+def _tensor(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
+    budgets, carriers = ctx
     if len(sa.carrier) * len(sb.carrier) > budgets.carrier_cap:
         raise BudgetExceeded(
             f"product carrier of size {len(sa.carrier) * len(sb.carrier)} "
@@ -385,7 +311,35 @@ def _tensor(sa: TotalitySpace, sb: TotalitySpace, budgets,
     return _antichain_space(carrier, minima, sa.stabilized and sb.stabilized)
 
 
-def _bang(s: TotalitySpace, budgets, carriers) -> TotalitySpace:
+def _plus(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
+    carrier = _derived(ctx[1], sum_carrier, sa.carrier, sb.carrier)
+    if sa.family.is_full_family() or sb.family.is_full_family():
+        minima = (0,)  # the empty set absorbs the other side
+    else:
+        # nonempty minima on disjoint supports, left side first
+        na = len(sa.carrier)
+        minima = sa.family.minima + tuple(m << na for m in sb.family.minima)
+    return _antichain_space(carrier, minima, sa.stabilized and sb.stabilized)
+
+
+def _with(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
+    budgets, carriers = ctx
+    ma, mb = len(sa.family.minima), len(sb.family.minima)
+    if ma * mb > budgets.carrier_cap:
+        raise BudgetExceeded(
+            f"& of {ma} x {mb} minimal sets ({ma * mb}) exceeds "
+            f"cap {budgets.carrier_cap}")
+    carrier = _derived(carriers, sum_carrier, sa.carrier, sb.carrier)
+    na = len(sa.carrier)
+    # antichains on disjoint supports: their product is an antichain,
+    # and ascending in (y, x) is ascending as masks
+    minima = tuple([x | y << na for y in sb.family.minima
+                    for x in sa.family.minima])
+    return _antichain_space(carrier, minima, sa.stabilized and sb.stabilized)
+
+
+def _bang(ctx, s: TotalitySpace) -> TotalitySpace:
+    budgets, carriers = ctx
     # multisets of size at most k over n elements: C(n + k, k)
     bag_count = comb(len(s.carrier) + budgets.bag, budgets.bag)
     if bag_count > budgets.carrier_cap:
@@ -397,43 +351,75 @@ def _bang(s: TotalitySpace, budgets, carriers) -> TotalitySpace:
     # x promotes to the bags whose members all lie in x
     minima = [sum(1 << i for i, sup in enumerate(supports) if sup | x == x)
               for x in s.family.minima]
-    return _space(carrier, minima, s.stabilized)
+    return _antichain_space(carrier, kernels.minimize_family(minima),
+                            s.stabilized)
 
 
-def _fix(x, body, env, budgets, carriers, least):
+def _lolli(ctx, sa, sb):
+    raise UnsupportedConstructor("lolli", "totality")
+
+
+def _fix(ctx, node, env):
     """Fixpoint totality at the current truncation depth.
 
     The stabilization flag compares the antichain against the run at
     depth k-1, restricted to elements of fold depth < k-1.
     """
-    space = _fix_at(x, body, env, budgets, carriers, least)
+    budgets, carriers = ctx
+    space = _fix_at(node, env, budgets, carriers)
     if budgets.depth == 0:
         return space
     prev_budgets = Budgets(budgets.depth - 1, budgets.bag,
                            budgets.carrier_cap, budgets.iter_cap)
-    prev = _fix_at(x, body, env, prev_budgets, carriers, least)
+    prev = _fix_at(node, env, prev_budgets, carriers)
     bound = budgets.depth - 1
     stable = (restrict_antichain(space.family, bound)
               == restrict_antichain(prev.family, bound)) and space.stabilized
     return TotalitySpace(space.carrier, space.family, stable)
 
 
-def _fix_at(x, body, env, budgets, carriers, least):
-    fix_formula = Mu(x, body) if least else Nu(x, body)
+def _fix_at(node, env, budgets, carriers):
     carrier_env = {name: s.carrier for name, s in env.items()}
-    carrier = interpret_carrier(fix_formula, carrier_env, budgets)
+    carrier = interpret_carrier(node, carrier_env, budgets)
+    ctx = (budgets, carriers)
     inner_stable = True
 
     def step(fam):
         nonlocal inner_stable
-        body_space = _tot(body, {**env, x: TotalitySpace(carrier, fam)},
-                          budgets, carriers)
+        body_space = fold(node.body,
+                          {**env, node.var: TotalitySpace(carrier, fam)},
+                          TOTALITY, ctx)
         inner_stable = inner_stable and body_space.stabilized
         return _reindex_along_fold(carrier, body_space)
 
+    least = type(node) is Mu
     start = UpFamily.empty(carrier) if least else UpFamily.full(carrier)
     fam = iterate(step, start, budgets.iter_cap)
     return TotalitySpace(carrier, fam, inner_stable)
+
+
+# The totality space of each constructor, given its operands' spaces.
+# ctx is (budgets, the carriers made in this interpretation, see
+# _derived).  The par, ? and ~ entries are the duals of tensor and !.
+TOTALITY = {
+    One: lambda ctx: _antichain_space(UNIT_CARRIER, (1,)),
+    Bot: lambda ctx: _antichain_space(UNIT_CARRIER, (1,)),
+    Zero: lambda ctx: TotalitySpace(EMPTY_CARRIER,
+                                    UpFamily.empty(EMPTY_CARRIER)),
+    Top: lambda ctx: TotalitySpace(EMPTY_CARRIER,
+                                   UpFamily.full(EMPTY_CARRIER)),
+    Neg: lambda ctx, node, env: _dual(fold(node.body, env, TOTALITY, ctx)),
+    Tensor: _tensor,
+    Par: lambda ctx, sa, sb: _dual(_tensor(ctx, _dual(sa), _dual(sb))),
+    Plus: _plus,
+    With: _with,
+    # the model has no linear implication; the operands are folded first
+    Lolli: _lolli,
+    OfCourse: _bang,
+    WhyNot: lambda ctx, s: _dual(_bang(ctx, _dual(s))),
+    Mu: _fix,
+    Nu: _fix,
+}
 
 
 def _reindex_along_fold(carrier: Carrier, body_space: TotalitySpace) -> UpFamily:

@@ -1,16 +1,19 @@
 import random
+import time
 
 import pytest
 
+from mullsem import formula, phase, relmodel, totality
 from mullsem.budgets import Budgets
 from mullsem.errors import (BudgetExceeded, CarrierTooLarge, ParseError,
                             UnboundVariable, VarianceError)
-from mullsem.formula import (Bot, Context, EMPTY_CONTEXT, Lolli, MAX_NESTING,
-                             Mu, Neg, Nu, OfCourse, One, Par, Plus, Sort,
-                             Tensor, Top, Var, WhyNot, With, Zero, alpha_eq,
-                             check_variance, free_vars, nnf, parse,
-                             substitute, to_text)
-from mullsem.relmodel import interpret_carrier
+from mullsem.formula import (Bot, Context, EMPTY_CONTEXT, Formula, Lolli,
+                             MAX_NESTING, Mu, Neg, Nu, OfCourse, One, Par,
+                             Plus, Sort, Tensor, Top, Var, WhyNot, With, Zero,
+                             alpha_eq, check_variance, fold, free_vars, nnf,
+                             parse, substitute, to_text)
+from mullsem.relmodel import (Carrier, InL, InR, UNIT, identity_rel,
+                              interpret_carrier)
 from mullsem.totality import interpret_totality
 
 POS, NEG = Sort.POS, Sort.NEG
@@ -109,11 +112,11 @@ class TestNestingLimit:
         nnf(Neg(f))
         budgets = Budgets(depth=1, bag=0)
         interpret_carrier(f, budgets=budgets)
-        if "mu" in text:
-            # check_variance tries both sorts under every binder, so its
-            # time doubles with each one
-            return
         check_variance(EMPTY_CONTEXT, f)
+        if "mu" in text:
+            # the totality model runs each fixpoint at depth k and again
+            # at k - 1, so nested fixpoint iteration multiplies
+            return
         if "-o" not in text:  # the totality model rejects lolli
             try:
                 interpret_totality(f, {}, budgets)
@@ -228,6 +231,167 @@ class TestVariance:
             sort = check_variance(EMPTY_CONTEXT, f)
             unfolded = substitute(f.body, f.var, f)
             assert check_variance(EMPTY_CONTEXT, unfolded) is sort
+
+
+def _reference_sorts(f, env):
+    """Exhaustive variance checker: every binder body is checked under
+    both sorts of its variable.
+
+    n nested binders cost 2^n body checks, so this serves only as the
+    reference that the one-pass ``formula._sorts`` must agree with.
+    """
+    def show(sorts):
+        if not sorts:
+            return "(none)"
+        return "/".join(str(s) for s in sorted(sorts, key=lambda s: s.value))
+
+    match f:
+        case Var(name):
+            if name not in env:
+                raise UnboundVariable(name)
+            return {env[name]}
+        case One() | Zero() | Top() | Bot():
+            return {POS, NEG}
+        case Neg(b):
+            return {s.dual() for s in _reference_sorts(b, env)}
+        case OfCourse(b) | WhyNot(b):
+            return _reference_sorts(b, env)
+        case Tensor(a, b) | Par(a, b) | Plus(a, b) | With(a, b):
+            sa, sb = _reference_sorts(a, env), _reference_sorts(b, env)
+            meet = sa & sb
+            if not meet:
+                raise VarianceError(
+                    f, f"operands derive {show(sa)} vs {show(sb)}")
+            return meet
+        case Lolli(a, b):
+            sa = {s.dual() for s in _reference_sorts(a, env)}
+            sb = _reference_sorts(b, env)
+            meet = sa & sb
+            if not meet:
+                raise VarianceError(
+                    f, "left operand derives "
+                       f"{show({s.dual() for s in sa})} "
+                       f"(needs the dual sort) vs right {show(sb)}")
+            return meet
+        case Mu(x, b) | Nu(x, b):
+            derivable = set()
+            failures = []
+            for v in (POS, NEG):
+                try:
+                    got = _reference_sorts(b, {**env, x: v})
+                except VarianceError as err:
+                    failures.append(
+                        f"under {x}:{v} the body fails ({err.detail})")
+                    continue
+                if v in got:
+                    derivable.add(v)
+                else:
+                    failures.append(f"body has sort {show(got)} under {x}:{v}")
+            if not derivable:
+                raise VarianceError(f, "; ".join(failures))
+            return derivable
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _sorts_or_error(sorts, f, env):
+    try:
+        return sorts(f, env)
+    except VarianceError as err:
+        return err.subterm
+
+
+class TestOnePassVariance:
+    def test_agrees_with_the_exhaustive_checker(self):
+        # random contexts over a, b, c with random sorts; the result is
+        # the derivable sort set, or the subterm a VarianceError names
+        rng = random.Random(2026)
+        rejected = 0
+        for _ in range(20000):
+            env = {n: rng.choice((POS, NEG)) for n in "abc"
+                   if rng.random() < 0.7}
+            f = random_formula(rng, 4, frozenset(env))
+            want = _sorts_or_error(_reference_sorts, f, env)
+            assert _sorts_or_error(formula._sorts, f, env) == want, \
+                (to_text(f), env)
+            rejected += isinstance(want, Formula)
+        assert 1000 < rejected < 10000
+
+    def test_top_level_error_texts_kept(self):
+        for ctx, text in [({}, "mu x. ~x"), ({"x": POS, "y": NEG}, "x * y"),
+                          ({"x": POS, "y": POS}, "x -o y"),
+                          ({"x": POS}, "1 + (x | ~x)")]:
+            f = parse(text)
+            with pytest.raises(VarianceError) as want:
+                _reference_sorts(f, ctx)
+            with pytest.raises(VarianceError) as got:
+                check_variance(Context(ctx.items()), f)
+            assert str(got.value) == str(want.value)
+
+    def test_hundred_nested_binders(self):
+        # mu x0. ... mu x99. x0 * ... * x99, built directly: its height
+        # exceeds the parser's nesting limit.  The exhaustive checker
+        # would try 2^100 sort assignments.
+        def nested(last):
+            f = Var("x0")
+            for i in range(1, 99):
+                f = Tensor(f, Var(f"x{i}"))
+            f = Tensor(f, last)
+            for i in reversed(range(100)):
+                f = Mu(f"x{i}", f)
+            return f
+
+        start = time.perf_counter()
+        assert check_variance(EMPTY_CONTEXT, nested(Var("x99"))) is POS
+        with pytest.raises(VarianceError):  # x99 used at the dual sort
+            check_variance(EMPTY_CONTEXT, nested(Neg(Var("x99"))))
+        assert time.perf_counter() - start < 1.0
+
+
+# the connective table of each model, with a context and an environment
+# of two values for a and b to fold formulas in
+def _tables():
+    budgets = Budgets(depth=2)
+    two = Carrier([InL(UNIT), InR(UNIT)])
+    space = next(s for s in phase.enumerate_spaces(2) if s.size == 2)
+    return {
+        "rel carriers": (relmodel.CARRIERS, budgets,
+                         {"a": two, "b": Carrier([UNIT])}),
+        "rel action": (relmodel.ACTIONS, budgets,
+                       {"a": identity_rel(two),
+                        "b": identity_rel(Carrier([UNIT]))}),
+        "totality": (totality.TOTALITY, (budgets, {}),
+                     {"a": interpret_totality(parse("1 + 1")),
+                      "b": interpret_totality(parse("1"))}),
+        "phase": (phase.PHASE, space, {"a": space.closure_mask(2),
+                                       "b": space.closure_mask(1)}),
+    }
+
+
+class TestFold:
+    @pytest.mark.parametrize("model", sorted(_tables()))
+    def test_table_is_complete(self, model):
+        table, ctx, env = _tables()[model]
+        # slots dataclasses replace their class; take the one bound in
+        # the module
+        constructors = {getattr(formula, c.__name__)
+                        for c in Formula.__subclasses__()} - {Var}
+        assert set(table) <= constructors
+        missing = constructors - set(table)
+        assert missing <= {Lolli}
+        if missing:  # read as ~a | b
+            assert fold(parse("a -o b"), env, table, ctx) == \
+                fold(parse("~a | b"), env, table, ctx)
+
+    @pytest.mark.parametrize("model", sorted(_tables()))
+    def test_non_formula_rejected(self, model):
+        table, ctx, env = _tables()[model]
+        for bad in (42, Tensor(One(), "1")):
+            with pytest.raises(TypeError, match="not a formula"):
+                fold(bad, env, table, ctx)
+
+    def test_environment_flags_are_not_read(self):
+        opened = Carrier([UNIT], stabilized=False)
+        assert interpret_carrier(Var("x"), {"x": opened}).stabilized is True
 
 
 class TestNnf:
