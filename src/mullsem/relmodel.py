@@ -8,6 +8,8 @@ budget, so truncation is visible rather than silent.
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -24,10 +26,12 @@ class Elem:
 
     Each element caches its sort key and hash at construction, built
     from its children's cached values, so both cost O(1) however deeply
-    the element nests.  Equality stays structural.
+    the element nests.  Equality stays structural; the carrier builders
+    also share equal elements within an interpretation (``_Elements``),
+    so there equality is mostly identity.
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_hash", "__weakref__")
 
     def _seal(self, key, hash_parts):
         object.__setattr__(self, "_key", key)
@@ -171,7 +175,7 @@ class Carrier:
     fixpoint-free carriers).
     """
 
-    __slots__ = ("elems", "stabilized", "_index")
+    __slots__ = ("elems", "stabilized", "_index", "_hash")
 
     def __init__(self, elems, stabilized=True):
         # dict.fromkeys drops duplicates but keeps the input order, so
@@ -180,6 +184,7 @@ class Carrier:
         self.elems = tuple(sorted(dict.fromkeys(elems), key=sort_key))
         self.stabilized = stabilized
         self._index = None
+        self._hash = None
 
     @classmethod
     def _ordered(cls, elems: tuple, stabilized=True) -> "Carrier":
@@ -192,6 +197,7 @@ class Carrier:
         carrier.elems = elems
         carrier.stabilized = stabilized
         carrier._index = None
+        carrier._hash = None
         return carrier
 
     def index(self, e: Elem) -> int:
@@ -225,7 +231,15 @@ class Carrier:
         return isinstance(other, Carrier) and self.elems == other.elems
 
     def __hash__(self):
-        return hash(self.elems)
+        # computed once: hashing the elements runs one call per element
+        if self._hash is None:
+            self._hash = hash(self.elems)
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so the cached hash
+        # is not pickled
+        return Carrier._ordered, (self.elems, self.stabilized)
 
     def __repr__(self):
         inner = ", ".join(render_elem(e) for e in self.elems)
@@ -305,6 +319,51 @@ def copoint(carrier: Carrier, subset) -> Relation:
                     frozenset((e, UNIT) for e in subset))
 
 
+# ---------------------------------------------------------------------------
+# hash-consing: each distinct element is built once per interpretation
+
+class _Elements:
+    """The elements built in one interpretation, by constructor and
+    children.
+
+    The carrier builders take their elements from here, so a repeated
+    element costs one dict lookup and equal elements are one object.
+    Unary constructors are keyed by their child, ``Pair`` by its first
+    and then its second component (a dict per first component) and
+    ``Bag`` by its sorted items.
+    """
+
+    __slots__ = ("inl", "inr", "pair", "bag", "fold")
+
+    def __init__(self):
+        self.inl, self.inr, self.pair, self.bag, self.fold = {}, {}, {}, {}, {}
+
+
+# the table of the interpretation running in this context; threads
+# start with an empty context, so they never share one
+_ELEMENTS = ContextVar("mullsem_elements", default=None)
+
+
+def _elements() -> _Elements:
+    """The running interpretation's table, or one for a single builder
+    call made outside an interpretation."""
+    return _ELEMENTS.get() or _Elements()
+
+
+@contextmanager
+def _interning():
+    """A fresh table for the outermost interpretation; nested ones share
+    it, and it is dropped when the outermost one returns."""
+    if _ELEMENTS.get() is not None:
+        yield
+        return
+    token = _ELEMENTS.set(_Elements())
+    try:
+        yield
+    finally:
+        _ELEMENTS.reset(token)
+
+
 def bags_over(elems, max_size: int):
     """All multisets of the given elements with size <= max_size."""
     return list(_bags(sorted(elems, key=sort_key), max_size))
@@ -313,7 +372,9 @@ def bags_over(elems, max_size: int):
 def _bags(base, max_size: int) -> tuple:
     # over a base in sort_key order, combinations_with_replacement yields
     # each size's bags in key order, and sizes are emitted in key order
-    return tuple([Bag(combo) for n in range(max_size + 1)
+    made = _elements().bag
+    return tuple([made.get(combo) or made.setdefault(combo, Bag(combo))
+                  for n in range(max_size + 1)
                   for combo in combinations_with_replacement(base, n)])
 
 
@@ -330,7 +391,8 @@ def interpret_carrier(f: Formula, env=None, budgets: Budgets = DEFAULT_BUDGETS,
     ``env`` are not read: the result reports the chains of f alone.
     """
     env = {name: Carrier._ordered(c.elems) for name, c in (env or {}).items()}
-    return fold(f, env, CARRIERS, budgets)
+    with _interning():
+        return fold(f, env, CARRIERS, budgets)
 
 
 def _guard(size, budgets):
@@ -464,7 +526,14 @@ def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
 
     ``Pair(a[i], b[j])`` has index ``i * len(b) + j``.
     """
-    pairs = [Pair(x, y) for x in a.elems for y in b.elems]
+    made = _elements().pair
+    pairs = []
+    for x in a.elems:
+        row = made.get(x)
+        if row is None:
+            row = made[x] = {}
+        pairs += [row.get(y) or row.setdefault(y, Pair(x, y))
+                  for y in b.elems]
     return Carrier._ordered(tuple(pairs), a.stabilized and b.stabilized)
 
 
@@ -473,9 +542,12 @@ def sum_carrier(a: Carrier, b: Carrier) -> Carrier:
 
     ``InL(a[i])`` has index ``i`` and ``InR(b[j])`` index ``len(a) + j``.
     """
-    return Carrier._ordered(tuple([InL(x) for x in a.elems]
-                                  + [InR(y) for y in b.elems]),
-                            a.stabilized and b.stabilized)
+    made = _elements()
+    inl, inr = made.inl, made.inr
+    return Carrier._ordered(
+        tuple([inl.get(x) or inl.setdefault(x, InL(x)) for x in a.elems]
+              + [inr.get(y) or inr.setdefault(y, InR(y)) for y in b.elems]),
+        a.stabilized and b.stabilized)
 
 
 def bag_carrier(c: Carrier, max_size: int) -> Carrier:
@@ -489,7 +561,10 @@ def bag_carrier(c: Carrier, max_size: int) -> Carrier:
 
 def _folded(c: Carrier) -> Carrier:
     # Fold keeps its argument's order
-    return Carrier._ordered(tuple([Fold(e) for e in c.elems]), c.stabilized)
+    made = _elements().fold
+    return Carrier._ordered(
+        tuple([made.get(e) or made.setdefault(e, Fold(e)) for e in c.elems]),
+        c.stabilized)
 
 
 def _fixpoint_action(budgets, node, rels):

@@ -21,7 +21,7 @@ from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       Plus, Tensor, Top, WhyNot, With, Zero, fold)
 from .lattice import FiniteLattice, iterate
 from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER,
-                       bag_carrier, bit_indices, fold_depth,
+                       _interning, bag_carrier, bit_indices, fold_depth,
                        interpret_carrier, pair_carrier, sum_carrier)
 
 TRANSVERSAL_BOUND = 12
@@ -248,9 +248,12 @@ def interpret_totality(f: Formula, env=None,
 
     The carrier is the relational interpretation; the family follows
     the connective table of this model, with mu as the least and nu as
-    the greatest fixpoint of the fold-reindexed body operator.
+    the greatest fixpoint of the fold-reindexed body operator.  The
+    carriers of its fixpoints share one element table (see
+    ``relmodel._Elements``).
     """
-    return fold(f, env or {}, TOTALITY, (budgets, {}))
+    with _interning():
+        return fold(f, env or {}, TOTALITY, (budgets, {}))
 
 
 def _antichain_space(carrier, minima: tuple, stabilized=True):
@@ -449,8 +452,14 @@ def _reindex_along_fold(carrier: Carrier, body_space: TotalitySpace) -> UpFamily
 
 def restrict_antichain(family: UpFamily, depth_bound: int) -> tuple:
     """Minimal sets whose members all have fold depth below the bound."""
-    kept = []
-    for s in family.min_sets():
-        if all(fold_depth(e) < depth_bound for e in s):
-            kept.append(frozenset(s))
+    # test each member of a minimal set once, not once per set
+    carrier = family.carrier
+    members = 0
+    for m in family.minima:
+        members |= m
+    deep = 0
+    for i in bit_indices(members):
+        if fold_depth(carrier.elems[i]) >= depth_bound:
+            deep |= 1 << i
+    kept = [carrier.set_of(m) for m in family.minima if not m & deep]
     return tuple(sorted(kept, key=lambda s: sorted(map(str, s))))

@@ -16,6 +16,28 @@ def powerset(iterable):
             for c in combinations(items, r)]
 
 
+def element_parts(elems):
+    """Every carrier element nested in elems, mapped to itself.
+
+    Fails if two equal parts are different objects, which the element
+    table of one interpretation rules out.  Labels are not walked.
+    """
+    seen = {}
+    stack = list(elems)
+    while stack:
+        e = stack.pop()
+        if not hasattr(e, "__match_args__"):
+            continue
+        if e in seen:
+            assert seen[e] is e, f"two objects for {e}"
+            continue
+        seen[e] = e
+        for field in e.__match_args__:
+            part = getattr(e, field)
+            stack.extend(part if isinstance(part, tuple) else (part,))
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # families of subsets (totality side), explicit representation
 

@@ -1,11 +1,15 @@
+import gc
 import pickle
 import random
+import sys
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iproduct
 
 import pytest
 
-from oracles import fixpoint_sample
+from oracles import element_parts, fixpoint_sample
 from mullsem.budgets import Budgets
 from mullsem.errors import BudgetExceeded, CarrierMismatch
 from mullsem.formula import Neg, nnf, parse
@@ -490,7 +494,23 @@ class TestBudgetBeforeWork:
         assert made == []
 
     def test_sum(self, monkeypatch):
-        made = self.counting(monkeypatch, "InR")
+        # count the InR requests, including those the element table
+        # answers with an element it already holds
+        made = []
+
+        class Counted(dict):
+            def get(self, key):
+                made.append(1)
+                return dict.get(self, key)
+
+        class Elements(relmodel._Elements):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                self.inr = Counted()
+        monkeypatch.setattr(relmodel, "_Elements", Elements)
+        built = self.counting(monkeypatch, "InR")
         nine = "(" + " + ".join(["1"] * 9) + ")"
         # two bag carriers of C(9 + 2, 2) = 55 bags each
         with pytest.raises(BudgetExceeded, match="size 110 exceeds cap 100"):
@@ -498,6 +518,8 @@ class TestBudgetBeforeWork:
                               budgets=Budgets(bag=2, carrier_cap=100))
         # only the injections inside the two 9-element operands
         assert len(made) == 2 * 8
+        # all sixteen are inr(()), built once
+        assert len(built) == 1
 
     def test_action_on_bags_of_bags(self, monkeypatch):
         made = self.counting(monkeypatch, "Bag")
@@ -530,3 +552,94 @@ class TestBudgetBeforeWork:
         assert main(["interp", "--model", "rel", "--bag", "6",
                      "!!(1+1)"]) == 1
         assert "exceeds cap 20000" in capsys.readouterr().err
+
+
+class TestInterning:
+    """Within one interpretation each distinct element is one object;
+    equality and hashing stay structural."""
+
+    def test_shared_children_are_carrier_elements(self):
+        c = interpret_carrier(parse("mu x. 1 + x * x"),
+                              budgets=Budgets(depth=4))
+        members = {id(e) for e in c}
+        pairs = [e.value.value for e in c if isinstance(e.value, InR)]
+        assert len(pairs) == len(c) - 1 == 25
+        for p in pairs:
+            assert id(p.first) in members and id(p.second) in members
+
+    def test_equal_to_hand_built_elements(self):
+        for text in ("mu x. 1 + x * x", "mu x. 1 + !x", "nu x. (1 + x) * 1"):
+            c = interpret_carrier(parse(text), budgets=Budgets(depth=3))
+            for e in c:
+                copy = _rebuild(e)
+                assert copy is not e
+                assert copy == e and e == copy and hash(copy) == hash(e)
+                assert c.index(copy) == c.index(e)
+        c = interpret_carrier(parse("mu x. 1 + x"), budgets=Budgets(depth=3))
+        assert c.elems == (numeral(0), numeral(1), numeral(2))
+
+    def test_no_table_survives_the_call(self):
+        f = parse("mu x. 1 + x * x")
+        c = interpret_carrier(f, budgets=Budgets(depth=3))
+        again = interpret_carrier(f, budgets=Budgets(depth=3))
+        assert again == c
+        assert all(a is not b for a, b in zip(again, c))
+        ref = weakref.ref(c.elems[-1])
+        del c, again
+        gc.collect()
+        assert ref() is None
+        assert relmodel._ELEMENTS.get() is None
+
+    def test_no_table_survives_a_budget_error(self):
+        with pytest.raises(BudgetExceeded):
+            interpret_carrier(parse("mu x. 1 + x * x"),
+                              budgets=Budgets(depth=6, carrier_cap=100))
+        assert relmodel._ELEMENTS.get() is None
+
+    def test_concurrent_interpretations(self):
+        depths = {"mu x. nu y. 1 + x * y": 3, "mu x. mu y. 1 + !x + y": 2}
+        texts = list(depths)
+
+        def job(text):
+            budgets = Budgets(depth=depths[text], bag=2)
+            return text, interpret_carrier(parse(text), budgets=budgets)
+
+        serial = dict(job(t) for t in texts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(job, t) for t in texts * 4]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        # one table per call: within a result equal parts are one
+        # object, and no two results share a part other than UNIT
+        owned = set()
+        for text, c in results:
+            assert c.elems == serial[text].elems, text
+            assert c.stabilized == serial[text].stabilized
+            assert [str(e) for e in c] == [str(e) for e in serial[text]]
+            parts = {id(e) for e in element_parts(c.elems)} - {id(UNIT)}
+            assert not parts & owned
+            owned |= parts
+
+
+class TestCarrierHash:
+    def test_hash_is_cached_and_structural(self):
+        c = interpret_carrier(parse("mu x. 1 + x * x"),
+                              budgets=Budgets(depth=3))
+        h = hash(c)
+        assert h == hash(c.elems) == hash(c)
+        assert c._hash == h
+        same = Carrier([_rebuild(e) for e in c], stabilized=False)
+        assert same == c and hash(same) == h
+
+    def test_pickle_drops_the_cached_hash(self):
+        c = Carrier([numeral(i) for i in range(4)], stabilized=False)
+        hash(c)
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy._hash is None
+        assert copy == c and hash(copy) == hash(c)
+        assert copy.stabilized is False

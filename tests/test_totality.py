@@ -1,18 +1,25 @@
+import gc
 import hashlib
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from oracles import (brute_biclosure, brute_orthogonal, brute_upward_closure,
-                     explicit_members, fixpoint_sample, powerset)
+                     element_parts, explicit_members, fixpoint_sample,
+                     powerset)
 from mullsem import _kernels as kernels
+from mullsem import relmodel, totality
 from mullsem.budgets import Budgets
 from mullsem.errors import (BudgetExceeded, CarrierTooLarge,
                             IterationBudgetExceeded, UnsupportedConstructor)
 from mullsem.formula import parse, substitute
 from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
-                              UNIT, bag_carrier, bags_over, identity_rel,
-                              pair_carrier, sum_carrier)
+                              UNIT, bag_carrier, bags_over, fold_depth,
+                              identity_rel, interpret_carrier, pair_carrier,
+                              sum_carrier)
 from mullsem.totality import (TotalitySpace, UpFamily, _derived,
                               _reindex_along_fold, biclosure,
                               check_total_morphism, enumerate_families,
@@ -561,3 +568,122 @@ class TestIndexArithmeticMinima:
             assert space.family.carrier is space.carrier
             built += 1
         assert built >= 15  # 18 fit the caps
+
+
+# ---------------------------------------------------------------------------
+# hash-consed elements and the depth restriction
+
+def _restrict_by_members(family, depth_bound):
+    """restrict_antichain as it was: fold_depth of every member of every
+    minimal set."""
+    kept = []
+    for s in family.min_sets():
+        if all(fold_depth(e) < depth_bound for e in s):
+            kept.append(frozenset(s))
+    return tuple(sorted(kept, key=lambda s: sorted(map(str, s))))
+
+
+# the totality formulas of the benchmark's heaviest jobs, and single
+# binders whose antichains split by depth; mu x. mu y. 1 + (x & y) is
+# left out, as its ~30,000 inner minima are too many for the quadratic
+# check of checked_trusted_families
+HEADLINE_SPACES = ("mu x. nu y. 1 + x * y", "mu x. mu y. 1 + (x + y)",
+                   "nu x. nu y. 1 + (x + y)",
+                   "nu x. (1 + 1) + x * (nu y. (1 + 1) + y)",
+                   "mu x. (1 + 1) + (x & x)", "mu x. 1 + x * x",
+                   "mu x. 1 + x")
+
+
+class TestRestrictAntichain:
+    def test_matches_the_per_member_definition(self):
+        built = split = 0
+        for text in HEADLINE_SPACES:
+            for depth in (2, 3, 4):
+                try:
+                    # the cap keeps the fixture's antichain checks short
+                    space = interpret_totality(
+                        parse(text), {},
+                        Budgets(depth=depth, bag=2, carrier_cap=1200))
+                except BudgetExceeded:
+                    continue
+                built += 1
+                for bound in range(depth + 2):
+                    got = restrict_antichain(space.family, bound)
+                    want = _restrict_by_members(space.family, bound)
+                    assert repr(got) == repr(want), (text, depth, bound)
+                    split += 0 < len(got) < len(space.family.minima)
+        assert built == 14
+        assert split == 16
+
+
+class TestInterning:
+    def test_shared_children_are_carrier_elements(self):
+        space = interpret_totality(parse("mu x. 1 + x * x"), {},
+                                   Budgets(depth=4))
+        members = {id(e) for e in space.carrier}
+        pairs = [e.value.value for e in space.carrier
+                 if isinstance(e.value, InR)]
+        assert len(pairs) == 25
+        for p in pairs:
+            assert id(p.first) in members and id(p.second) in members
+
+    def test_fixpoint_carriers_share_one_table(self, monkeypatch):
+        made = []
+
+        def recorded(*args, **kwargs):
+            made.append(interpret_carrier(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(totality, "interpret_carrier", recorded)
+        interpret_totality(parse("mu x. nu y. 1 + x * y"), {},
+                           Budgets(depth=3))
+        assert len(made) == 14
+        first = {}
+        for c in made:
+            for e in c:
+                assert first.setdefault(e, e) is e
+
+    def test_equal_to_separately_built_elements(self):
+        budgets = Budgets(depth=3, bag=2)
+        for text in HEADLINE_SPACES[:3]:
+            space = interpret_totality(parse(text), {}, budgets)
+            rel = interpret_carrier(parse(text), budgets=budgets)
+            assert space.carrier == rel
+            for a, b in zip(space.carrier, rel):
+                assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_no_table_survives_the_call(self):
+        space = interpret_totality(parse("mu x. nu y. 1 + x * y"), {},
+                                   Budgets(depth=3))
+        ref = weakref.ref(space.carrier.elems[-1])
+        del space
+        gc.collect()
+        assert ref() is None
+        assert relmodel._ELEMENTS.get() is None
+
+    def test_concurrent_interpretations(self):
+        jobs = [("mu x. nu y. 1 + x * y", 3), ("mu x. mu y. 1 + !x + y", 2)]
+
+        def job(case):
+            text, depth = case
+            space = interpret_totality(parse(text), {},
+                                       Budgets(depth=depth, bag=2))
+            return (space.carrier.elems, space.family.minima,
+                    space.stabilized)
+
+        serial = [job(case) for case in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(job, case) for case in jobs * 4]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial * 4
+        # one table per call: within a result equal parts are one
+        # object, and no two results share a part other than UNIT
+        owned = set()
+        for elems, _, _ in results:
+            parts = {id(e) for e in element_parts(elems)} - {id(UNIT)}
+            assert not parts & owned
+            owned |= parts
