@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success (negative answers such as a found counter-model
 are data, not failures), 1 on semantic failure (variance errors,
-unsupported constructors, exceeded budgets), 2 on input errors with
-positioned diagnostics.  Machine output is JSON with a fixed key order,
-and every numeric report carries its budget or tolerance provenance.
+unsupported constructors, exceeded budgets) or when stdout closes early,
+2 on input errors with positioned diagnostics.  Machine output is JSON
+with a fixed key order, and every numeric report carries its budget or
+tolerance provenance.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import sys
 # each command imports the modules it runs, so a command pays start-up
 # only for its own model
 from .budgets import DEFAULT_BAG, DEFAULT_DEPTH, Budgets
-from .errors import (BudgetExceeded, CarrierTooLarge, FileFormatError,
-                     IterationBudgetExceeded, MullsemError, ParseError,
-                     PreconditionFailed, UnboundVariable,
-                     UnsupportedConstructor, VarianceError)
+from .errors import (FileFormatError, MullsemError, ParseError,
+                     UnboundVariable)
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -274,24 +273,27 @@ _COMMANDS = {
 }
 
 _INPUT_ERRORS = (ParseError, FileFormatError, UnboundVariable)
-_SEMANTIC_ERRORS = (VarianceError, UnsupportedConstructor, BudgetExceeded,
-                    IterationBudgetExceeded, CarrierTooLarge,
-                    PreconditionFailed)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _SEMANTIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
     except MullsemError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before the answer was written",
+              file=sys.stderr)
         return EXIT_SEMANTIC
 
 

@@ -439,8 +439,7 @@ def fold(f: Formula, env, table, ctx):
 
     The rel, totality and phase models evaluate formulas through this
     one fold.  A model is a table from constructor classes to entries,
-    and ``ctx`` is what its entries share (budgets, a phase space, a
-    carrier cache).
+    and ``ctx`` is what its entries share (the budgets, a phase space).
 
     - A ``Var`` is looked up in ``env``; UnboundVariable if absent.
     - The ``Neg``, ``Mu`` and ``Nu`` entries get ``(ctx, node, env)``
@@ -534,13 +533,14 @@ def _show_sorts(sorts):
 
 
 def _sorts(f, env):
-    """Set of sorts derivable for f under env (name -> Sort).
+    """Set of sorts derivable for f under env (name -> Sort, or None).
 
     One pass: every rule equates the sort of a subformula with the sort
     of another or with its dual, so a parity union-find over one
     unknown per constant and binder solves them all.  A handle (u, p)
     is the sort of unknown u, dualized when p is 1.  Unknown 0 is the
-    sort +; an unknown not joined to it is free, derivable at both.
+    sort +; an unknown not joined to it is free, derivable at both.  A
+    name bound to None is a constant: each occurrence is a new unknown.
     """
     parent, parity = [0], [0]  # an unknown's sort is its parent's ^ parity
 
@@ -586,7 +586,7 @@ def _sorts(f, env):
         if t is Var:
             if g.name not in scope:
                 raise UnboundVariable(g.name)
-            return scope[g.name]
+            return scope[g.name] or new()
         if t in _BINDERS:
             x = new()
             body = walk(g.body, {**scope, g.var: x}, binder or g)
@@ -627,7 +627,7 @@ def _sorts(f, env):
                       if fixed else "operands derive dual sorts")
         fail(g, detail, binder)
 
-    scope = {name: (0, int(s is NEG)) for name, s in env.items()}
+    scope = {name: s and (0, int(s is NEG)) for name, s in env.items()}
     return sorts(walk(f, scope, None))
 
 
@@ -639,7 +639,8 @@ def check_variance(ctx: Context, f: Formula) -> Sort:
     operands, negation dualizes, lolli dualizes its left operand, and a
     fixpoint binder requires the body to have the sort assumed for its
     variable.  Formulas derivable at both sorts (constants,
-    ``mu x. x``) report the positive one.
+    ``mu x. x``) report the positive one.  A name mapped to None in ctx
+    is a constant: each of its occurrences is derivable at both sorts.
     """
     env = dict(ctx.items) if isinstance(ctx, Context) else dict(ctx)
     derivable = _sorts(f, env)

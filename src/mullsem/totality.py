@@ -9,20 +9,20 @@ of the fold-reindexed body operator on the family lattice.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations_with_replacement, product as iproduct
-
-from math import comb
 
 from . import _kernels as kernels
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (BudgetExceeded, CarrierMismatch, CarrierTooLarge,
                      UnsupportedConstructor)
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
-                      Plus, Tensor, Top, WhyNot, With, Zero, fold)
+                      Plus, Tensor, Top, WhyNot, With, Zero, check_variance,
+                      fold)
 from .lattice import FiniteLattice, iterate
-from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER,
-                       _interning, bag_carrier, bit_indices, fold_depth,
-                       interpret_carrier, pair_carrier, sum_carrier)
+from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER, _bag,
+                       _interning, _product, bit_indices, fold_depth,
+                       interpret_carrier, sum_carrier)
 
 TRANSVERSAL_BOUND = 12
 
@@ -251,31 +251,21 @@ def interpret_totality(f: Formula, env=None,
     the greatest fixpoint of the fold-reindexed body operator.  The
     carriers of its fixpoints share one element table (see
     ``relmodel._Elements``).
+
+    f is variance-checked first, with the names in env as constants,
+    so an ill-sorted binder raises VarianceError instead of iterating
+    a non-monotone body.
     """
+    env = env or {}
+    check_variance(dict.fromkeys(env), f)
     with _interning():
-        return fold(f, env or {}, TOTALITY, (budgets, {}))
+        return fold(f, env, TOTALITY, budgets)
 
 
 def _antichain_space(carrier, minima: tuple, stabilized=True):
     """Space whose minima are a sorted antichain by construction."""
     return TotalitySpace(carrier, UpFamily._trusted(carrier, minima),
                          stabilized)
-
-
-def _derived(carriers: dict, build, *args) -> Carrier:
-    """``build(*args)``, made once per interpretation.
-
-    ``carriers`` belongs to one ``interpret_totality`` call, so fixpoint
-    iterations share the product, sum and bag carriers they rebuild.
-    Carrier equality ignores ``stabilized``, so the key also holds the
-    flag of every input carrier.
-    """
-    key = (build, *args,
-           *(a.stabilized for a in args if isinstance(a, Carrier)))
-    carrier = carriers.get(key)
-    if carrier is None:
-        carrier = carriers[key] = build(*args)
-    return carrier
 
 
 def _bag_supports(n: int, max_size: int) -> tuple:
@@ -289,13 +279,8 @@ def _dual(s: TotalitySpace) -> TotalitySpace:
     return TotalitySpace(s.carrier, orthogonal(s.family), s.stabilized)
 
 
-def _tensor(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
-    budgets, carriers = ctx
-    if len(sa.carrier) * len(sb.carrier) > budgets.carrier_cap:
-        raise BudgetExceeded(
-            f"product carrier of size {len(sa.carrier) * len(sb.carrier)} "
-            f"exceeds cap {budgets.carrier_cap}")
-    carrier = _derived(carriers, pair_carrier, sa.carrier, sb.carrier)
+def _tensor(budgets, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
+    carrier = _product(budgets, sa.carrier, sb.carrier)
     fa, fb = sa.family, sb.family
     if fa.is_empty_family() or fb.is_empty_family():
         minima = ()
@@ -314,8 +299,8 @@ def _tensor(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
     return _antichain_space(carrier, minima, sa.stabilized and sb.stabilized)
 
 
-def _plus(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
-    carrier = _derived(ctx[1], sum_carrier, sa.carrier, sb.carrier)
+def _plus(budgets, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
+    carrier = sum_carrier(sa.carrier, sb.carrier)
     if sa.family.is_full_family() or sb.family.is_full_family():
         minima = (0,)  # the empty set absorbs the other side
     else:
@@ -325,14 +310,13 @@ def _plus(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
     return _antichain_space(carrier, minima, sa.stabilized and sb.stabilized)
 
 
-def _with(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
-    budgets, carriers = ctx
+def _with(budgets, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
     ma, mb = len(sa.family.minima), len(sb.family.minima)
     if ma * mb > budgets.carrier_cap:
         raise BudgetExceeded(
             f"& of {ma} x {mb} minimal sets ({ma * mb}) exceeds "
             f"cap {budgets.carrier_cap}")
-    carrier = _derived(carriers, sum_carrier, sa.carrier, sb.carrier)
+    carrier = sum_carrier(sa.carrier, sb.carrier)
     na = len(sa.carrier)
     # antichains on disjoint supports: their product is an antichain,
     # and ascending in (y, x) is ascending as masks
@@ -341,16 +325,9 @@ def _with(ctx, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
     return _antichain_space(carrier, minima, sa.stabilized and sb.stabilized)
 
 
-def _bang(ctx, s: TotalitySpace) -> TotalitySpace:
-    budgets, carriers = ctx
-    # multisets of size at most k over n elements: C(n + k, k)
-    bag_count = comb(len(s.carrier) + budgets.bag, budgets.bag)
-    if bag_count > budgets.carrier_cap:
-        raise BudgetExceeded(
-            f"multiset carrier of size {bag_count} exceeds cap "
-            f"{budgets.carrier_cap}")
-    carrier = _derived(carriers, bag_carrier, s.carrier, budgets.bag)
-    supports = _derived(carriers, _bag_supports, len(s.carrier), budgets.bag)
+def _bang(budgets, s: TotalitySpace) -> TotalitySpace:
+    carrier = _bag(budgets, s.carrier)
+    supports = _bag_supports(len(s.carrier), budgets.bag)
     # x promotes to the bags whose members all lie in x
     minima = [sum(1 << i for i, sup in enumerate(supports) if sup | x == x)
               for x in s.family.minima]
@@ -358,40 +335,38 @@ def _bang(ctx, s: TotalitySpace) -> TotalitySpace:
                             s.stabilized)
 
 
-def _lolli(ctx, sa, sb):
+def _lolli(budgets, sa, sb):
     raise UnsupportedConstructor("lolli", "totality")
 
 
-def _fix(ctx, node, env):
+def _fix(budgets, node, env):
     """Fixpoint totality at the current truncation depth.
 
-    The stabilization flag compares the antichain against the run at
-    depth k-1, restricted to elements of fold depth < k-1.
+    The stabilization flag compares the antichain against the family at
+    depth k-1, restricted to elements of fold depth < k-1.  That pass
+    folds in ``_FAMILIES``, so the binders inside it run once each.
     """
-    budgets, carriers = ctx
-    space = _fix_at(node, env, budgets, carriers)
+    space = _fix_at(TOTALITY, budgets, node, env)
     if budgets.depth == 0:
         return space
-    prev_budgets = Budgets(budgets.depth - 1, budgets.bag,
-                           budgets.carrier_cap, budgets.iter_cap)
-    prev = _fix_at(node, env, prev_budgets, carriers)
     bound = budgets.depth - 1
-    stable = (restrict_antichain(space.family, bound)
-              == restrict_antichain(prev.family, bound)) and space.stabilized
+    prev = _fix_at(_FAMILIES, replace(budgets, depth=bound), node, env)
+    stable = space.stabilized and (restrict_antichain(space.family, bound)
+                                   == restrict_antichain(prev.family, bound))
     return TotalitySpace(space.carrier, space.family, stable)
 
 
-def _fix_at(node, env, budgets, carriers):
+def _fix_at(table, budgets, node, env):
+    """The fixpoint family at ``budgets.depth``, its body folded in table."""
     carrier_env = {name: s.carrier for name, s in env.items()}
     carrier = interpret_carrier(node, carrier_env, budgets)
-    ctx = (budgets, carriers)
     inner_stable = True
 
     def step(fam):
         nonlocal inner_stable
         body_space = fold(node.body,
                           {**env, node.var: TotalitySpace(carrier, fam)},
-                          TOTALITY, ctx)
+                          table, budgets)
         inner_stable = inner_stable and body_space.stabilized
         return _reindex_along_fold(carrier, body_space)
 
@@ -402,8 +377,8 @@ def _fix_at(node, env, budgets, carriers):
 
 
 # The totality space of each constructor, given its operands' spaces.
-# ctx is (budgets, the carriers made in this interpretation, see
-# _derived).  The par, ? and ~ entries are the duals of tensor and !.
+# ctx is the Budgets, and every carrier comes from the rel builders.
+# The par, ? and ~ entries are the duals of tensor and !.
 TOTALITY = {
     One: lambda ctx: _antichain_space(UNIT_CARRIER, (1,)),
     Bot: lambda ctx: _antichain_space(UNIT_CARRIER, (1,)),
@@ -422,6 +397,15 @@ TOTALITY = {
     WhyNot: lambda ctx, s: _dual(_bang(ctx, _dual(s))),
     Mu: _fix,
     Nu: _fix,
+}
+
+# The depth k-1 pass of _fix: only its family is read, so each binder
+# runs one _fix_at, and negated bodies stay in this table.
+_FAMILIES = {
+    **TOTALITY,
+    Neg: lambda ctx, node, env: _dual(fold(node.body, env, _FAMILIES, ctx)),
+    Mu: lambda ctx, node, env: _fix_at(_FAMILIES, ctx, node, env),
+    Nu: lambda ctx, node, env: _fix_at(_FAMILIES, ctx, node, env),
 }
 
 

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from mullsem import cli, errors
 from mullsem.cli import POLES, main
+from mullsem.formula import One
 from mullsem.wrel import NAMED_POLES
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SIGN_SPACE = """\
 elements 1 -1
@@ -308,3 +316,67 @@ class TestBudgetValidation:
         code, _, err = run(capsys, "interp", "--model", "rel",
                            "--bag", "-2", "1")
         assert code == 2
+
+
+# one instance of every error class the package defines
+ERRORS = [
+    errors.MullsemError("boom"),
+    errors.ParseError("unexpected end", 1, 3, 2),
+    errors.UnboundVariable("x"),
+    errors.VarianceError(One(), "detail"),
+    errors.UnsupportedConstructor("lolli", "totality"),
+    errors.LatticeError("no top"),
+    errors.IterationBudgetExceeded(10),
+    errors.BudgetExceeded("carrier of size 9 exceeds cap 8"),
+    errors.CarrierMismatch("endpoints"),
+    errors.CarrierTooLarge(13, 12),
+    errors.NotInvertible("map"),
+    errors.NotSupported("capability"),
+    errors.IndexMismatch("indices"),
+    errors.DimensionCap(9, 8),
+    errors.EmptyGenerators(),
+    errors.PreconditionFailed("square"),
+    errors.FileFormatError("bad file"),
+]
+INPUT_ERRORS = (errors.ParseError, errors.FileFormatError,
+                errors.UnboundVariable)
+
+
+class TestExitCodes:
+    def test_every_error_class_is_listed(self):
+        defined = {c for c in vars(errors).values() if isinstance(c, type)
+                   and issubclass(c, errors.MullsemError)}
+        assert {type(e) for e in ERRORS} == defined
+
+    @pytest.mark.parametrize("error", ERRORS,
+                             ids=[type(e).__name__ for e in ERRORS])
+    def test_error_exit_code(self, capsys, monkeypatch, error):
+        def command(args):
+            raise error
+        monkeypatch.setitem(cli._COMMANDS, "variance", command)
+        code, out, err = run(capsys, "variance", "1")
+        assert out == ""
+        if isinstance(error, INPUT_ERRORS):
+            assert code == 2
+            assert err == f"input error: {error}\n"
+        else:
+            assert code == 1
+            assert err == f"error: {error}\n"
+
+    def test_closed_stdout_is_not_a_traceback(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        # the answer is about 2.6 MB, far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mullsem", "--format", "machine",
+             "interp", "--model", "rel", "--depth", "3",
+             "mu x. mu y. 1 + !x + y"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

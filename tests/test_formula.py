@@ -114,8 +114,9 @@ class TestNestingLimit:
         interpret_carrier(f, budgets=budgets)
         check_variance(EMPTY_CONTEXT, f)
         if "mu" in text:
-            # the totality model runs each fixpoint at depth k and again
-            # at k - 1, so nested fixpoint iteration multiplies
+            # each totality binder here folds its body at least twice,
+            # one step off the empty family and one to see the
+            # fixpoint, so n nested binders cost at least 2^n folds
             return
         if "-o" not in text:  # the totality model rejects lolli
             try:
@@ -353,15 +354,16 @@ def _tables():
     budgets = Budgets(depth=2)
     two = Carrier([InL(UNIT), InR(UNIT)])
     space = next(s for s in phase.enumerate_spaces(2) if s.size == 2)
+    spaces = {"a": interpret_totality(parse("1 + 1")),
+              "b": interpret_totality(parse("1"))}
     return {
         "rel carriers": (relmodel.CARRIERS, budgets,
                          {"a": two, "b": Carrier([UNIT])}),
         "rel action": (relmodel.ACTIONS, budgets,
                        {"a": identity_rel(two),
                         "b": identity_rel(Carrier([UNIT]))}),
-        "totality": (totality.TOTALITY, (budgets, {}),
-                     {"a": interpret_totality(parse("1 + 1")),
-                      "b": interpret_totality(parse("1"))}),
+        "totality": (totality.TOTALITY, budgets, spaces),
+        "totality families": (totality._FAMILIES, budgets, spaces),
         "phase": (phase.PHASE, space, {"a": space.closure_mask(2),
                                        "b": space.closure_mask(1)}),
     }

@@ -14,16 +14,16 @@ from mullsem import _kernels as kernels
 from mullsem import relmodel, totality
 from mullsem.budgets import Budgets
 from mullsem.errors import (BudgetExceeded, CarrierTooLarge,
-                            IterationBudgetExceeded, UnsupportedConstructor)
+                            IterationBudgetExceeded, UnsupportedConstructor,
+                            VarianceError)
 from mullsem.formula import parse, substitute
 from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
-                              UNIT, bag_carrier, bags_over, fold_depth,
-                              identity_rel, interpret_carrier, pair_carrier,
-                              sum_carrier)
-from mullsem.totality import (TotalitySpace, UpFamily, _derived,
-                              _reindex_along_fold, biclosure,
-                              check_total_morphism, enumerate_families,
-                              family_lattice, interpret_totality, orthogonal,
+                              UNIT, bags_over, fold_depth, identity_rel,
+                              interpret_carrier)
+from mullsem.totality import (TotalitySpace, UpFamily, _reindex_along_fold,
+                              biclosure, check_total_morphism,
+                              enumerate_families, family_lattice,
+                              interpret_totality, orthogonal,
                               restrict_antichain)
 
 
@@ -344,6 +344,19 @@ class TestErrorsAndEnv:
         assert len(out.carrier) == 4
         assert all(len(s) == 2 for s in out.family.min_sets())
 
+    def test_ill_sorted_binder_is_variance_error(self):
+        # without the check, the non-monotone body runs to the iteration
+        # cap and the error does not name the binder
+        with pytest.raises(VarianceError, match="in 'mu x. 1 \\+ ~x'"):
+            interpret_totality(parse("mu x. 1 + ~x"))
+
+    def test_environment_names_are_constants(self):
+        # each occurrence of x may take either sort, as a constant may
+        base = interpret_totality(parse("1 + 1"))
+        out = interpret_totality(parse("nu y. (~x * x) & y"), {"x": base})
+        assert len(out.carrier) == 16
+        assert out.family.is_empty_family()
+
     def test_non_antichain_rejected(self):
         with pytest.raises(ValueError):
             UpFamily(AB, (1, 3))  # {a} inside {a,b}
@@ -433,23 +446,6 @@ class TestDerivedCarriers:
         assert [sorted(str(e) for e in s)
                 for s in space.family.min_sets()] == [[]]
         assert space.stabilized is True
-
-    def test_reuse_keeps_stabilized_flag(self):
-        carriers = {}
-        closed = Carrier((UNIT, "a"))
-        opened = Carrier((UNIT, "a"), stabilized=False)
-        assert closed == opened
-        for build in (pair_carrier, sum_carrier):
-            first = _derived(carriers, build, closed, closed)
-            assert first.stabilized is True
-            assert _derived(carriers, build, closed, opened).stabilized \
-                is False
-            assert _derived(carriers, build, opened, closed).stabilized \
-                is False
-            assert _derived(carriers, build, closed, closed) is first
-        assert _derived(carriers, bag_carrier, opened, 2).stabilized is False
-        assert _derived(carriers, bag_carrier, closed, 2).stabilized is True
-        assert len(_derived(carriers, bag_carrier, closed, 1)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +632,26 @@ class TestInterning:
         monkeypatch.setattr(totality, "interpret_carrier", recorded)
         interpret_totality(parse("mu x. nu y. 1 + x * y"), {},
                            Budgets(depth=3))
-        assert len(made) == 14
+        assert len(made) == 11
         first = {}
         for c in made:
             for e in c:
                 assert first.setdefault(e, e) is e
+
+    def test_previous_depth_pass_runs_each_binder_once(self, monkeypatch):
+        # the depth k-1 pass only reads its family, so the binders
+        # inside it run at k-1 alone and nothing runs at k-2
+        depths = []
+        fix_at = totality._fix_at
+
+        def recorded(*args):
+            depths.append(next(a.depth for a in args
+                               if isinstance(a, Budgets)))
+            return fix_at(*args)
+        monkeypatch.setattr(totality, "_fix_at", recorded)
+        text = "mu a. mu b. mu c. mu d. 1 + a + d"
+        interpret_totality(parse(text), {}, Budgets(depth=2))
+        assert set(depths) == {1, 2}
 
     def test_equal_to_separately_built_elements(self):
         budgets = Budgets(depth=3, bag=2)
