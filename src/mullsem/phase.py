@@ -13,7 +13,8 @@ from itertools import permutations
 from . import _kernels as kernels
 from .errors import FileFormatError, UnboundVariable
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
-                      Plus, Tensor, Top, WhyNot, With, Zero, fold, free_vars)
+                      Plus, Tensor, Top, WhyNot, With, Zero, check_variance,
+                      fold, free_vars)
 from .lattice import iterate
 
 
@@ -190,8 +191,15 @@ def orthogonal_fact(space: PhaseSpace, subset) -> frozenset:
 
 
 def interpret_phase(space: PhaseSpace, f: Formula, env=None) -> frozenset:
-    """The fact denoted by a formula (environment entries must be facts)."""
-    env_masks = {name: space.mask_of(s) for name, s in (env or {}).items()}
+    """The fact denoted by a formula (environment entries must be facts).
+
+    f is variance-checked first, with the names in env as constants,
+    so an ill-sorted binder raises VarianceError instead of iterating
+    a non-monotone body.
+    """
+    env = env or {}
+    check_variance(dict.fromkeys(env), f)
+    env_masks = {name: space.mask_of(s) for name, s in env.items()}
     return space.set_of(fold(f, env_masks, PHASE, space))
 
 
@@ -233,14 +241,16 @@ PHASE = {
 
 def holds(space: PhaseSpace, f: Formula) -> bool:
     """Validity as membership of the monoid unit in the denoted fact."""
-    _check_closed(f)
+    _check_formula(f)
     return _holds(space, f)
 
 
-def _check_closed(f):
+def _check_formula(f):
+    """Raise unless f is closed and well-sorted."""
     free = free_vars(f)
     if free:
         raise UnboundVariable(sorted(free)[0])
+    check_variance({}, f)
 
 
 def _holds(space, f) -> bool:
@@ -357,7 +367,7 @@ def search_counter_model(f: Formula, max_size: int = 5):
     """First enumerated space in which f does not hold, or None."""
     if max_size > 5:
         raise ValueError("counter-model search is capped at monoids of size 5")
-    _check_closed(f)  # once per search, not once per space
+    _check_formula(f)  # once per search, not once per space
     for space in enumerate_spaces(max_size):
         if not _holds(space, f):
             return space

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -24,18 +24,23 @@ from .lattice import iterate
 class Elem:
     """Base class of carrier elements; immutable, totally ordered.
 
-    Each element caches its sort key and hash at construction, built
-    from its children's cached values, so both cost O(1) however deeply
-    the element nests.  Equality stays structural; the carrier builders
+    Each constructor caches the element's sort key and hash, built from
+    its children's cached values, so both cost O(1) however deeply the
+    element nests.  Equality stays structural; the carrier builders
     also share equal elements within an interpretation (``_Elements``),
-    so there equality is mostly identity.
+    so there equality is mostly identity.  An element keeps the text
+    ``str`` hands out for it, and ``render_elem`` keeps the texts of
+    ``Pair`` and ``Bag`` components, so a shared part is rendered once.
     """
 
-    __slots__ = ("_key", "_hash", "__weakref__")
+    __slots__ = ("_key", "_hash", "_text", "__weakref__")
+    __match_args__ = ()
 
-    def _seal(self, key, hash_parts):
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(hash_parts))
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -52,63 +57,115 @@ class Elem:
         return sort_key(self) < sort_key(other)
 
     def __reduce__(self):
-        # rebuild through __init__ so that the caches are recomputed
+        # rebuild through __init__ so that the caches are recomputed and
+        # no kept text travels
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
     def __str__(self):
-        return render_elem(self)
+        return _kept_text(self)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+# the slots' setters: __init__ writes through them, past the frozen
+# __setattr__
+_set_key = Elem._key.__set__
+_set_hash = Elem._hash.__set__
+_set_text = Elem._text.__set__
+
+
 class Unit(Elem):
-    def __post_init__(self):
-        self._seal((0,), (0,))
+    __slots__ = ()
+
+    def __init__(self):
+        _set_key(self, (0,))
+        _set_hash(self, hash((0,)))
+        _set_text(self, None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class InL(Elem):
-    value: Elem
+class _Wrapper(Elem):
+    """An element holding one value under the constructor tag _TAG."""
 
-    def __post_init__(self):
-        self._seal((1, sort_key(self.value)), (1, self.value))
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __init__(self, value):
+        # the child's cached slots are read inline, as in Pair: a
+        # helper call per child would cost about as much again
+        if isinstance(value, Elem):
+            key, h = value._key, value._hash
+        else:
+            key, h = (-1, repr(value)), hash(value)
+        tag = self._TAG
+        _set_value(self, value)
+        _set_key(self, (tag, key))
+        _set_hash(self, hash((tag, h)))
+        _set_text(self, None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class InR(Elem):
-    value: Elem
-
-    def __post_init__(self):
-        self._seal((2, sort_key(self.value)), (2, self.value))
+_set_value = _Wrapper.value.__set__
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+class InL(_Wrapper):
+    __slots__ = ()
+    _TAG = 1
+
+
+class InR(_Wrapper):
+    __slots__ = ()
+    _TAG = 2
+
+
 class Pair(Elem):
-    first: Elem
-    second: Elem
+    __slots__ = ("first", "second")
+    __match_args__ = ("first", "second")
 
-    def __post_init__(self):
-        self._seal((3, sort_key(self.first), sort_key(self.second)),
-                   (3, self.first, self.second))
+    def __init__(self, first, second):
+        if isinstance(first, Elem):
+            key1, h1 = first._key, first._hash
+        else:
+            key1, h1 = (-1, repr(first)), hash(first)
+        if isinstance(second, Elem):
+            key2, h2 = second._key, second._hash
+        else:
+            key2, h2 = (-1, repr(second)), hash(second)
+        _set_first(self, first)
+        _set_second(self, second)
+        _set_key(self, (3, key1, key2))
+        _set_hash(self, hash((3, h1, h2)))
+        _set_text(self, None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+_set_first = Pair.first.__set__
+_set_second = Pair.second.__set__
+
+
 class Bag(Elem):
     """Finite multiset, kept in canonical sorted order."""
 
-    items: tuple
+    __slots__ = ("items",)
+    __match_args__ = ("items",)
 
-    def __post_init__(self):
-        items = tuple(sorted(self.items, key=sort_key))
-        object.__setattr__(self, "items", items)
-        self._seal((4, len(items), tuple(map(sort_key, items))), (4, *items))
+    def __init__(self, items):
+        keyed = sorted([(sort_key(x), x) for x in items], key=_by_key)
+        items = tuple([x for _, x in keyed])
+        _set_items(self, items)
+        _set_key(self, (4, len(items), tuple([k for k, _ in keyed])))
+        _set_hash(self, hash((4, *[x._hash if isinstance(x, Elem)
+                                   else hash(x) for x in items])))
+        _set_text(self, None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Fold(Elem):
-    value: Elem
+_set_items = Bag.items.__set__
+_by_key = operator.itemgetter(0)
 
-    def __post_init__(self):
-        self._seal((5, sort_key(self.value)), (5, self.value))
+
+class Fold(_Wrapper):
+    __slots__ = ()
+    _TAG = 5
 
 
 UNIT = Unit()
@@ -121,6 +178,14 @@ def sort_key(e):
     labels (symbolic finite sets), which order by repr before elements.
     """
     return e._key if isinstance(e, Elem) else (-1, repr(e))
+
+
+def _rising(elems) -> bool:
+    """Whether elems are in strictly rising sort_key order."""
+    # sort_key inlined: a call per element would cost as much as the
+    # sort that this test lets a caller skip
+    keys = [e._key if isinstance(e, Elem) else (-1, repr(e)) for e in elems]
+    return all(map(operator.lt, keys, keys[1:]))
 
 
 def fold_depth(e) -> int:
@@ -140,20 +205,33 @@ def fold_depth(e) -> int:
 
 
 def render_elem(e) -> str:
+    """The text of a carrier member, with the kept text of each part
+    that has one; keeps the texts of Pair and Bag components."""
     # one frame per level, most frequent constructors first
     t = type(e)
     if t is Fold:
-        return f"fold({render_elem(e.value)})"
+        return e._text or f"fold({render_elem(e.value)})"
     if t is InR:
-        return f"inr({render_elem(e.value)})"
+        return e._text or f"inr({render_elem(e.value)})"
     if t is InL:
-        return f"inl({render_elem(e.value)})"
+        return e._text or f"inl({render_elem(e.value)})"
     if t is Pair:
-        return f"({render_elem(e.first)},{render_elem(e.second)})"
+        return e._text or f"({_kept_text(e.first)},{_kept_text(e.second)})"
     if t is Unit:
         return "()"
     if t is Bag:
-        return "[" + ",".join(map(render_elem, e.items)) + "]"
+        return e._text or "[" + ",".join(map(_kept_text, e.items)) + "]"
+    return str(e)
+
+
+def _kept_text(e) -> str:
+    """render_elem(e), kept on e when e is an element."""
+    if isinstance(e, Elem):
+        text = e._text
+        if text is None:
+            text = render_elem(e)
+            _set_text(e, text)
+        return text
     return str(e)
 
 

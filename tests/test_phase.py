@@ -5,8 +5,8 @@ import pytest
 from oracles import brute_commutative_monoid_count, powerset
 from mullsem import phase
 from mullsem.errors import (FileFormatError, IterationBudgetExceeded,
-                            UnboundVariable)
-from mullsem.formula import Mu, Neg, Nu, parse, nnf, substitute
+                            UnboundVariable, VarianceError)
+from mullsem.formula import Mu, Neg, Nu, fold, parse, nnf, substitute
 from mullsem.phase import (PhaseSpace, enumerate_commutative_monoids,
                            enumerate_spaces, fact_closure, holds,
                            interpret_phase, orthogonal_fact,
@@ -117,11 +117,34 @@ class TestInterpret:
 class TestFixpointBudget:
     def test_oscillating_body_exhausts_the_budget(self):
         # ~x is not monotone: from the least fact the iterates alternate,
-        # so the chain stops at its budget of 2^n + 2 steps
+        # so the chain stops at its budget of 2^n + 2 steps.  The public
+        # calls refuse such a body, so this folds through the table.
         space = space_from_table((0, 1, 1, 0), 2, 1)
         with pytest.raises(IterationBudgetExceeded,
                            match="^no stabilization within 6 iterations$"):
-            interpret_phase(space, parse("mu x. ~x"))
+            fold(parse("mu x. ~x"), {}, phase.PHASE, space)
+
+    def test_ill_sorted_binder_is_variance_error(self, monkeypatch):
+        space = space_from_table((0, 1, 1, 0), 2, 1)
+        f = parse("mu x. ~x")
+        folds = []
+        original = phase.fold
+        monkeypatch.setattr(phase, "fold",
+                            lambda *args: folds.append(1) or original(*args))
+        for call in (lambda: interpret_phase(space, f),
+                     lambda: holds(space, f),
+                     lambda: search_counter_model(f, 3)):
+            with pytest.raises(VarianceError, match="'mu x. ~x'"):
+                call()
+        assert folds == []
+
+    def test_environment_names_are_constants(self):
+        # x is bound to a fact, so ~x is a constant and the body is
+        # monotone in y
+        space = space_from_table((0, 1, 1, 0), 2, 1)
+        x = interpret_phase(space, parse("1"))
+        assert interpret_phase(space, parse("nu y. (~x * x) & y"), {"x": x}) \
+            == interpret_phase(space, parse("~x * x"), {"x": x})
 
 
 class TestHolds:
@@ -159,8 +182,13 @@ class TestSearch:
         original = phase.free_vars
         monkeypatch.setattr(phase, "free_vars",
                             lambda f: calls.append(f) or original(f))
+        sorts = []
+        check = phase.check_variance
+        monkeypatch.setattr(phase, "check_variance",
+                            lambda ctx, f: sorts.append(f) or check(ctx, f))
         assert search_counter_model(parse("1"), 3) is None
         assert len(calls) == 1
+        assert len(sorts) == 1
         with pytest.raises(UnboundVariable, match="'x'"):
             search_counter_model(parse("1 * x"), 3)
         with pytest.raises(UnboundVariable, match="'x'"):

@@ -1,11 +1,14 @@
 import gc
+import json
 import pickle
 import random
 import sys
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,8 @@ from mullsem.relmodel import (Bag, Carrier, EMPTY_CARRIER, Fold, InL, InR,
                               bags_over, compose_rel, copoint, fold_depth,
                               functor_on_relations, identity_rel,
                               interpret_carrier, pair_carrier, point,
-                              sort_key, sum_carrier)
+                              render_elem, sort_key, sum_carrier)
+from mullsem.totality import interpret_totality
 
 
 def rel(src, tgt, pairs):
@@ -643,3 +647,153 @@ class TestCarrierHash:
         assert copy._hash is None
         assert copy == c and hash(copy) == hash(c)
         assert copy.stabilized is False
+
+
+def _reference_render(e):
+    """render_elem as it was before texts were kept: every part is
+    rendered again inside every parent (reference)."""
+    t = type(e)
+    if t is Fold:
+        return f"fold({_reference_render(e.value)})"
+    if t is InR:
+        return f"inr({_reference_render(e.value)})"
+    if t is InL:
+        return f"inl({_reference_render(e.value)})"
+    if t is Pair:
+        return f"({_reference_render(e.first)},{_reference_render(e.second)})"
+    if t is Unit:
+        return "()"
+    if t is Bag:
+        return "[" + ",".join(map(_reference_render, e.items)) + "]"
+    return str(e)
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def _grammar_at_depth_3():
+    """The formulas of the totality-fixpoints benchmark grammar that
+    answer at depth 3 (the keys of its golden answers)."""
+    with open(GOLDEN / "totality-fixpoints.json", encoding="utf-8") as fh:
+        keys = json.load(fh)["digests"]
+    return [k.split("|", 2)[2] for k in keys if k.startswith("totality|3|")]
+
+
+def _render_in_order(elems, parents_first):
+    """(str, render_elem) of each element, the longest texts first or
+    last; a part's text is shorter than its parent's."""
+    ordered = sorted(elems, key=lambda e: len(_reference_render(e)),
+                     reverse=parents_first)
+    return {id(e): (str(e), render_elem(e)) for e in ordered}
+
+
+class TestKeptTexts:
+    """Elements keep the texts they hand out; every text equals the
+    recursive reference, whatever is rendered first."""
+
+    @pytest.mark.parametrize("parents_first", [True, False])
+    def test_totality_grammar_at_depth_3(self, parents_first):
+        formulas = _grammar_at_depth_3()
+        assert len(formulas) == 159
+        for text in formulas:
+            space = interpret_totality(parse(text), {},
+                                       Budgets(depth=3, bag=2))
+            carrier = list(space.carrier)
+            minima = [e for s in space.family.min_sets() for e in s]
+            expected = {id(e): _reference_render(e) for e in carrier}
+            # the answer as the CLI prints it, then every nested part
+            got = _render_in_order(carrier, parents_first)
+            assert all(got[i] == (t, t) for i, t in expected.items()), text
+            assert [str(e) for e in minima] == \
+                [_reference_render(e) for e in minima], text
+            parts = list(element_parts(carrier))
+            got = _render_in_order(parts, parents_first)
+            assert all(got[id(p)] == (_reference_render(p),) * 2
+                       for p in parts), text
+
+    @pytest.mark.parametrize("parents_first", [True, False])
+    def test_random_elements_with_labels(self, parents_first):
+        rng = random.Random(20261018)
+        elems = [_random_elem(rng, 5) for _ in range(300)]
+        # built by hand, so equal parts may be distinct objects: walk
+        # them by identity
+        parts, stack = {}, list(elems)
+        while stack:
+            e = stack.pop()
+            if isinstance(e, relmodel.Elem) and id(e) not in parts:
+                parts[id(e)] = e
+                for field in e.__match_args__:
+                    part = getattr(e, field)
+                    stack.extend(part if isinstance(part, tuple) else (part,))
+        parts = list(parts.values())
+        expected = {id(p): (_reference_render(p),) * 2 for p in parts}
+        got = _render_in_order(parts, parents_first)
+        assert got == expected
+        # again, now that every part keeps its text
+        assert [str(e) for e in elems] == list(map(_reference_render, elems))
+
+    def test_kept_text_changes_neither_equality_nor_hash(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            e = _random_elem(rng, 4)
+            copy = _rebuild(e)
+            before = hash(e)
+            str(e)
+            assert e == copy and copy == e
+            assert hash(e) == before == hash(copy)
+            assert Carrier([e]).index(copy) == 0
+
+    def test_pickle_round_trip_carries_no_text(self):
+        c = interpret_carrier(parse("mu x. 1 + !x * x"),
+                              budgets=Budgets(depth=3))
+        texts = [str(e) for e in c]
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and hash(copy) == hash(c)
+        assert all(p._text is None for p in element_parts(copy.elems))
+        assert [str(e) for e in copy] == texts
+
+
+class TestElemClasses:
+    """Slotted element classes keep the dataclass surface they replace."""
+
+    SAMPLES = (UNIT, InL(UNIT), InR("a"), Fold(InL(UNIT)),
+               Pair(1, InR(UNIT)), Bag((Fold(UNIT), "a")))
+
+    def test_repr(self):
+        assert [repr(e) for e in self.SAMPLES] == [
+            "Unit()", "InL(value=Unit())", "InR(value='a')",
+            "Fold(value=InL(value=Unit()))",
+            "Pair(first=1, second=InR(value=Unit()))",
+            "Bag(items=('a', Fold(value=Unit())))"]
+
+    def test_fields_are_frozen(self):
+        for e in self.SAMPLES:
+            for name in e.__match_args__ + ("_key", "_hash", "_text", "new"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(e, name, UNIT)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(e, name)
+            assert not hasattr(e, "__dict__")
+            assert weakref.ref(e)() is e
+
+    def test_match_binds_fields(self):
+        def shape(e):
+            match e:
+                case Unit():
+                    return "unit"
+                case InL(v) | InR(v):
+                    return ("inj", v)
+                case Fold(value=v):
+                    return ("fold", v)
+                case Pair(a, b):
+                    return ("pair", a, b)
+                case Bag(items):
+                    return ("bag", items)
+        assert [shape(e) for e in self.SAMPLES] == [
+            "unit", ("inj", UNIT), ("inj", "a"), ("fold", InL(UNIT)),
+            ("pair", 1, InR(UNIT)), ("bag", ("a", Fold(UNIT)))]
+
+    def test_constructors_take_their_fields_by_keyword(self):
+        assert Pair(first=UNIT, second="a") == Pair(UNIT, "a")
+        assert InL(value=UNIT) == InL(UNIT)
+        assert Bag(items=("b", "a")).items == ("a", "b")

@@ -102,6 +102,29 @@ class TestCompose:
                 assert direct == viaw
                 assert matrix_to_relation(viaw) == compose_rel(r1, r2)
 
+    def test_hand_built_indices_in_any_order(self):
+        # distinct labels that are equal to no other, and elements; the
+        # relation's carriers are in canonical order whatever the
+        # matrix's index order
+        from mullsem.relmodel import UNIT, InL, InR, Pair
+        labels = ("b", 10, "a", 2, UNIT, InR(UNIT), Pair("a", UNIT),
+                  InL(UNIT))
+        rng = random.Random(11)
+        for _ in range(40):
+            rows = tuple(rng.sample(labels, rng.randrange(len(labels) + 1)))
+            cols = tuple(rng.sample(labels, rng.randrange(len(labels) + 1)))
+            entries = {(r, c): True for r in rows for c in cols
+                       if rng.random() < 0.4}
+            rel = matrix_to_relation(SemiringMatrix(BOOL, rows, cols, entries))
+            assert rel.src.elems == Carrier(rows).elems
+            assert rel.tgt.elems == Carrier(cols).elems
+            assert rel == Relation(Carrier(rows), Carrier(cols),
+                                   frozenset(entries))
+        rel = matrix_to_relation(SemiringMatrix(BOOL, ("b", "a"), ("a",),
+                                                {("b", "a"): True}))
+        assert rel.src.elems == ("a", "b")
+        assert rel.src.index("a") == 0
+
 
 class TestOrthogonalPair:
     def test_examples(self):
