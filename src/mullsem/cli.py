@@ -159,10 +159,10 @@ def cmd_interp(args):
     if args.model == "phase":
         if not args.space:
             raise FileFormatError("the phase model needs --space FILE")
-        from .phase import holds, interpret_phase, parse_phase_space
+        from .phase import interpret_phase, parse_phase_space
         space = parse_phase_space(_read(args.space))
         fact = interpret_phase(space, f, {})
-        valid = holds(space, f)
+        valid = space.unit in fact  # phase.holds, without a second fold
         payload = {"command": "interp", "model": "phase",
                    "formula": to_text(f), "budgets": budget_info,
                    "space": space.to_dict(),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -34,13 +34,6 @@ class Elem:
     """
 
     __slots__ = ("_key", "_hash", "_text", "__weakref__")
-    __match_args__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -61,22 +54,23 @@ class Elem:
         # no kept text travels
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}"
-                           for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
     def __str__(self):
         return _kept_text(self)
 
 
-# the slots' setters: __init__ writes through them, past the frozen
-# __setattr__
+# The element classes are frozen dataclasses with one __init__ each,
+# which writes the fields and caches through the slots' setters, past
+# the frozen __setattr__.  __slots__ is declared by hand rather than by
+# slots=True, which rebuilds the class: assigning a name that is not a
+# field of the rebuilt class raises TypeError, not FrozenInstanceError,
+# and before Python 3.11 it declares inherited fields a second time.
+_elem_class = dataclass(frozen=True, eq=False, init=False)
 _set_key = Elem._key.__set__
 _set_hash = Elem._hash.__set__
 _set_text = Elem._text.__set__
 
 
+@_elem_class
 class Unit(Elem):
     __slots__ = ()
 
@@ -86,15 +80,16 @@ class Unit(Elem):
         _set_text(self, None)
 
 
+@_elem_class
 class _Wrapper(Elem):
     """An element holding one value under the constructor tag _TAG."""
 
     __slots__ = ("value",)
-    __match_args__ = ("value",)
+    value: Elem
 
     def __init__(self, value):
-        # the child's cached slots are read inline, as in Pair: a
-        # helper call per child would cost about as much again
+        # sort_key (which defines a plain label's key) and hash inlined:
+        # a call per child would cost about as much again
         if isinstance(value, Elem):
             key, h = value._key, value._hash
         else:
@@ -109,21 +104,26 @@ class _Wrapper(Elem):
 _set_value = _Wrapper.value.__set__
 
 
+@_elem_class
 class InL(_Wrapper):
     __slots__ = ()
     _TAG = 1
 
 
+@_elem_class
 class InR(_Wrapper):
     __slots__ = ()
     _TAG = 2
 
 
+@_elem_class
 class Pair(Elem):
     __slots__ = ("first", "second")
-    __match_args__ = ("first", "second")
+    first: Elem
+    second: Elem
 
     def __init__(self, first, second):
+        # sort_key and hash inlined per component, as in _Wrapper
         if isinstance(first, Elem):
             key1, h1 = first._key, first._hash
         else:
@@ -143,16 +143,18 @@ _set_first = Pair.first.__set__
 _set_second = Pair.second.__set__
 
 
+@_elem_class
 class Bag(Elem):
     """Finite multiset, kept in canonical sorted order."""
 
     __slots__ = ("items",)
-    __match_args__ = ("items",)
+    items: tuple
 
     def __init__(self, items):
         keyed = sorted([(sort_key(x), x) for x in items], key=_by_key)
         items = tuple([x for _, x in keyed])
         _set_items(self, items)
+        # the items' hashes as in _Wrapper
         _set_key(self, (4, len(items), tuple([k for k, _ in keyed])))
         _set_hash(self, hash((4, *[x._hash if isinstance(x, Elem)
                                    else hash(x) for x in items])))
@@ -163,6 +165,7 @@ _set_items = Bag.items.__set__
 _by_key = operator.itemgetter(0)
 
 
+@_elem_class
 class Fold(_Wrapper):
     __slots__ = ()
     _TAG = 5
@@ -178,14 +181,6 @@ def sort_key(e):
     labels (symbolic finite sets), which order by repr before elements.
     """
     return e._key if isinstance(e, Elem) else (-1, repr(e))
-
-
-def _rising(elems) -> bool:
-    """Whether elems are in strictly rising sort_key order."""
-    # sort_key inlined: a call per element would cost as much as the
-    # sort that this test lets a caller skip
-    keys = [e._key if isinstance(e, Elem) else (-1, repr(e)) for e in elems]
-    return all(map(operator.lt, keys, keys[1:]))
 
 
 def fold_depth(e) -> int:

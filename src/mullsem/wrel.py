@@ -141,17 +141,11 @@ def relation_to_matrix(rel) -> SemiringMatrix:
 
 
 def matrix_to_relation(mat: SemiringMatrix):
-    from .relmodel import Carrier, Relation, _rising
+    from .relmodel import Carrier, Relation
     if mat.semiring is not BOOL:
         raise ValueError("only boolean matrices induce relations")
-    # the indices of relation_to_matrix and compose results are carrier
-    # elements in canonical order, so they skip the sort; indices are
-    # duplicate-free, so rising keys suffice
-    rows, cols = mat.rows, mat.cols
-    return Relation._trusted(
-        Carrier._ordered(rows) if _rising(rows) else Carrier(rows),
-        Carrier._ordered(cols) if _rising(cols) else Carrier(cols),
-        frozenset(k for k, v in mat.entries.items() if v))
+    return Relation._trusted(Carrier(mat.rows), Carrier(mat.cols),
+                             frozenset(k for k, v in mat.entries.items() if v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import pickle
@@ -754,7 +755,7 @@ class TestKeptTexts:
 
 
 class TestElemClasses:
-    """Slotted element classes keep the dataclass surface they replace."""
+    """The element classes' own constructors keep their dataclass surface."""
 
     SAMPLES = (UNIT, InL(UNIT), InR("a"), Fold(InL(UNIT)),
                Pair(1, InR(UNIT)), Bag((Fold(UNIT), "a")))
@@ -792,6 +793,17 @@ class TestElemClasses:
         assert [shape(e) for e in self.SAMPLES] == [
             "unit", ("inj", UNIT), ("inj", "a"), ("fold", InL(UNIT)),
             ("pair", 1, InR(UNIT)), ("bag", ("a", Fold(UNIT)))]
+
+    def test_dataclass_helpers(self):
+        for e in self.SAMPLES:
+            assert dataclasses.is_dataclass(e)
+            assert tuple(f.name for f in dataclasses.fields(e)) \
+                == e.__match_args__
+        # replace builds through the constructor, so the caches and the
+        # Bag order are recomputed
+        assert dataclasses.replace(Pair(1, UNIT), second="a") == Pair(1, "a")
+        bag = dataclasses.replace(Bag(("a",)), items=("b", "a"))
+        assert bag.items == ("a", "b") and bag == Bag(("b", "a"))
 
     def test_constructors_take_their_fields_by_keyword(self):
         assert Pair(first=UNIT, second="a") == Pair(UNIT, "a")
