@@ -154,8 +154,8 @@ class Bag(Elem):
         keyed = sorted([(sort_key(x), x) for x in items], key=_by_key)
         items = tuple([x for _, x in keyed])
         _set_items(self, items)
-        # the items' hashes as in _Wrapper
         _set_key(self, (4, len(items), tuple([k for k, _ in keyed])))
+        # the items' hashes as in _Wrapper
         _set_hash(self, hash((4, *[x._hash if isinstance(x, Elem)
                                    else hash(x) for x in items])))
         _set_text(self, None)
