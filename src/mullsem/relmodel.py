@@ -359,10 +359,6 @@ class Relation:
         subset = set(subset)
         return frozenset(a for a, b in self.pairs if b in subset)
 
-    def converse(self) -> "Relation":
-        return Relation(self.tgt, self.src,
-                        frozenset((b, a) for a, b in self.pairs))
-
 
 def identity_rel(carrier: Carrier) -> Relation:
     return Relation(carrier, carrier, frozenset((e, e) for e in carrier))
@@ -538,62 +534,6 @@ CARRIERS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# morphism interpretation (the functorial action)
-
-def functor_on_relations(f: Formula, x: str, r: Relation, env=None,
-                         budgets: Budgets = DEFAULT_BUDGETS) -> Relation:
-    """Action of the interpretation functor of f (in the variable x) on r.
-
-    The remaining free variables of f are held fixed at the carriers in
-    ``env`` (acting by their identity relations).  The result relates
-    the interpretations of f at the source and target carriers of r.
-    """
-    env = env or {}
-    rels = {name: identity_rel(c) for name, c in env.items()}
-    rels[x] = r
-    return fold(f, rels, ACTIONS, budgets)
-
-
-def _converse(budgets, node, rels):
-    # contravariant: act on the converses and take the converse back
-    flipped = {n: rel.converse() for n, rel in rels.items()}
-    return fold(node.body, flipped, ACTIONS, budgets).converse()
-
-
-def _act_product(budgets, ra, rb):
-    _guard(max(len(ra.src) * len(rb.src), len(ra.tgt) * len(rb.tgt)),
-           budgets)
-    pairs = frozenset((Pair(a1, b1), Pair(a2, b2))
-                      for a1, a2 in ra.pairs for b1, b2 in rb.pairs)
-    return Relation(pair_carrier(ra.src, rb.src),
-                    pair_carrier(ra.tgt, rb.tgt), pairs)
-
-
-def _act_sum(budgets, ra, rb):
-    _guard(max(len(ra.src) + len(rb.src), len(ra.tgt) + len(rb.tgt)),
-           budgets)
-    pairs = frozenset((InL(a1), InL(a2)) for a1, a2 in ra.pairs) | \
-        frozenset((InR(b1), InR(b2)) for b1, b2 in rb.pairs)
-    return Relation(sum_carrier(ra.src, rb.src),
-                    sum_carrier(ra.tgt, rb.tgt), pairs)
-
-
-def _act_bag(budgets, rb):
-    _guard(comb(max(len(rb.src), len(rb.tgt)) + budgets.bag, budgets.bag),
-           budgets)
-    # and one bag of pairs per multiset of up to k of its p pairs
-    _guard(comb(len(rb.pairs) + budgets.bag, budgets.bag), budgets)
-    base = sorted(rb.pairs)
-    pairs = set()
-    for n in range(budgets.bag + 1):
-        for combo in combinations_with_replacement(base, n):
-            pairs.add((Bag(tuple(p[0] for p in combo)),
-                       Bag(tuple(p[1] for p in combo))))
-    return Relation(bag_carrier(rb.src, budgets.bag),
-                    bag_carrier(rb.tgt, budgets.bag), frozenset(pairs))
-
-
 def pair_carrier(a: Carrier, b: Carrier) -> Carrier:
     """The product carrier, in canonical order.
 
@@ -640,35 +580,48 @@ def _folded(c: Carrier) -> Carrier:
         c.stabilized)
 
 
-def _fixpoint_action(budgets, node, rels):
-    def step(cur):
-        layer = fold(node.body, {**rels, node.var: cur}, ACTIONS, budgets)
-        return Relation(
-            _folded(layer.src), _folded(layer.tgt),
-            frozenset((Fold(a), Fold(b)) for a, b in layer.pairs))
+# ---------------------------------------------------------------------------
+# morphism interpretation (the functorial action)
 
-    cur, stabilized = _chain(
-        step, Relation(EMPTY_CARRIER, EMPTY_CARRIER, frozenset()), budgets)
-    if stabilized:
-        return cur
-    return Relation(Carrier._ordered(cur.src.elems, False),
-                    Carrier._ordered(cur.tgt.elems, False), cur.pairs)
+def functor_on_relations(f: Formula, x: str, r: Relation, env=None,
+                         budgets: Budgets = DEFAULT_BUDGETS) -> Relation:
+    """Action of the interpretation functor of f (in the variable x) on r.
+
+    The remaining free variables of f are held fixed at the carriers in
+    ``env`` (acting by their identity relations).  The result relates
+    the interpretations of f at the source and target carriers of r.
+
+    The action is the relation lifting of the carrier fold: f is
+    interpreted at the graph of r, where x is the carrier of r's pairs
+    and each fixed variable is its diagonal, and every element of that
+    carrier is mapped along the two projections of its leaves.  So the
+    action has the object part's builders and budget guards, and its
+    carriers report the same ``stabilized`` flags.  Negation, the
+    identity on objects, acts as the identity: every constructor's
+    action commutes with taking converses.
+    """
+    env = env or {}
+    src = interpret_carrier(f, {**env, x: r.src}, budgets)
+    tgt = interpret_carrier(f, {**env, x: r.tgt}, budgets)
+    graph = {name: Carrier([(e, e) for e in c]) for name, c in env.items()}
+    graph[x] = Carrier(r.pairs)
+    return Relation(src, tgt, frozenset(
+        map(_projections, interpret_carrier(f, graph, budgets))))
 
 
-# The relation of each constructor, given its operands' relations (the
-# fold reads a -o b as ~a | b).  ctx is the Budgets.
-ACTIONS = {
-    One: lambda budgets: identity_rel(UNIT_CARRIER),
-    Bot: lambda budgets: identity_rel(UNIT_CARRIER),
-    Zero: lambda budgets: identity_rel(EMPTY_CARRIER),
-    Top: lambda budgets: identity_rel(EMPTY_CARRIER),
-    Neg: _converse,
-    Tensor: _act_product,
-    Par: _act_product,
-    Plus: _act_sum,
-    With: _act_sum,
-    OfCourse: _act_bag,
-    WhyNot: _act_bag,
-    Mu: _fixpoint_action,
-    Nu: _fixpoint_action,
-}
+def _projections(e) -> tuple:
+    """Both projections of an element built over a graph: e with each
+    leaf, a pair (a, b) of the graph, replaced by a and by b."""
+    t = type(e)
+    if t is Pair:
+        (a1, b1), (a2, b2) = _projections(e.first), _projections(e.second)
+        return Pair(a1, a2), Pair(b1, b2)
+    if t is Bag:
+        sides = [_projections(item) for item in e.items]
+        return Bag([a for a, _ in sides]), Bag([b for _, b in sides])
+    if t is Unit:
+        return e, e
+    if isinstance(e, Elem):  # InL, InR or Fold
+        a, b = _projections(e.value)
+        return t(a), t(b)
+    return e

@@ -55,9 +55,6 @@ class Semiring:
             return self.zero
         return values[-1]
 
-    def parse(self, text: str):
-        raise NotImplementedError
-
     def to_str(self, v) -> str:
         return "inf" if v is INF else str(v)
 
@@ -90,13 +87,6 @@ class BoolSemiring(Semiring):
 
     def le(self, a, b):
         return (not a) or b
-
-    def parse(self, text):
-        if text in ("0", "false"):
-            return False
-        if text in ("1", "true"):
-            return True
-        raise ValueError(f"not a boolean scalar: {text!r}")
 
     def to_str(self, v):
         return "1" if v else "0"
@@ -136,14 +126,6 @@ class NInfSemiring(_ExtendedNumeric):
     def is_value(self, v):
         return v is INF or (isinstance(v, int) and not isinstance(v, bool)
                             and v >= 0)
-
-    def parse(self, text):
-        if text == "inf":
-            return INF
-        n = int(text)
-        if n < 0:
-            raise ValueError(f"negative value {n} is not in the semiring")
-        return n
 
     def sample_values(self):
         return [0, 1, 2, 3, 7, INF]
@@ -197,14 +179,6 @@ class RFloatSemiring(_ExtendedNumeric):
         b = float("inf") if b is INF else b
         return a <= b
 
-    def parse(self, text):
-        if text == "inf":
-            return float("inf")
-        v = float(Fraction(text))
-        if v < 0:
-            raise ValueError(f"negative value {v} is not in the semiring")
-        return v
-
     def sample_values(self):
         return [0.0, 0.5, 1.0, 2.5]
 
@@ -213,8 +187,6 @@ BOOL = BoolSemiring()
 NINF = NInfSemiring()
 RINF = RInfSemiring()
 RFLOAT = RFloatSemiring()
-
-SEMIRINGS = {s.name: s for s in (BOOL, NINF, RINF, RFLOAT)}
 
 
 def check_semiring_laws(sr: Semiring):

@@ -344,11 +344,14 @@ def _fix(budgets, node, env):
 
     The stabilization flag compares the antichain against the family at
     depth k-1, restricted to elements of fold depth < k-1.  That pass
-    folds in ``_FAMILIES``, so the binders inside it run once each.
+    folds in ``_FAMILIES``, so the binders inside it run once each.  At
+    depth 0 there is nothing to compare; the flag is the carrier
+    chain's, which is false for every binder.
     """
     space = _fix_at(TOTALITY, budgets, node, env)
     if budgets.depth == 0:
-        return space
+        return TotalitySpace(space.carrier, space.family,
+                             space.stabilized and space.carrier.stabilized)
     bound = budgets.depth - 1
     prev = _fix_at(_FAMILIES, replace(budgets, depth=bound), node, env)
     stable = space.stabilized and (restrict_antichain(space.family, bound)

@@ -554,8 +554,9 @@ def _as_number(v):
 # ---------------------------------------------------------------------------
 # file formats
 
-def parse_matrix(text: str, semiring: Semiring = RINF) -> SemiringMatrix:
-    """Matrix file: ``rows``/``cols`` headers then ``row col value`` triples."""
+def parse_matrix(text: str) -> SemiringMatrix:
+    """Matrix file: ``rows``/``cols`` headers then ``row col value`` triples,
+    with values in the completed non-negative reals."""
     rows = cols = None
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -578,18 +579,18 @@ def parse_matrix(text: str, semiring: Semiring = RINF) -> SemiringMatrix:
         if r not in rows or c not in cols:
             raise FileFormatError(f"line {lineno}: unknown index {r!r},{c!r}")
         try:
-            entries[(r, c)] = semiring.parse(v)
+            entries[(r, c)] = RINF.parse(v)
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: {exc}") from exc
-    return SemiringMatrix(semiring, rows, cols, entries)
+    return SemiringMatrix(RINF, rows, cols, entries)
 
 
-def parse_vector(text: str, semiring: Semiring = RINF) -> SemiringMatrix:
-    mat = parse_matrix(text, semiring)
+def parse_vector(text: str) -> SemiringMatrix:
+    mat = parse_matrix(text)
     if len(mat.rows) != 1:
         raise FileFormatError("a vector file must have exactly one row")
     values = {c: mat.get(mat.rows[0], c) for c in mat.cols}
-    return vector(semiring, mat.cols, values)
+    return vector(RINF, mat.cols, values)
 
 
 def render_matrix(mat: SemiringMatrix) -> str:

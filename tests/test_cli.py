@@ -83,6 +83,14 @@ class TestInterp:
         assert len(data["minimal_antichain"]) == 3
         assert data["stabilized"] is True
 
+    @pytest.mark.parametrize("model", ["rel", "totality"])
+    def test_depth_zero_is_not_stabilized(self, capsys, model):
+        code, data, _ = run_json(capsys, "interp", "--model", model,
+                                 "--depth", "0", "mu x. 1 + x")
+        assert code == 0
+        assert data["carrier"] == []
+        assert data["stabilized"] is False
+
     @pytest.mark.parametrize("text", ["!0", "?0"])
     def test_exponential_of_empty_carrier(self, capsys, text):
         # the empty carrier has exactly one bag, the empty one

@@ -12,8 +12,7 @@ from mullsem.formula import (Bot, Context, EMPTY_CONTEXT, Formula, Lolli,
                              Plus, Sort, Tensor, Top, Var, WhyNot, With, Zero,
                              alpha_eq, check_variance, fold, free_vars, nnf,
                              parse, substitute, to_text)
-from mullsem.relmodel import (Carrier, InL, InR, UNIT, identity_rel,
-                              interpret_carrier)
+from mullsem.relmodel import Carrier, InL, InR, UNIT, interpret_carrier
 from mullsem.totality import interpret_totality
 
 POS, NEG = Sort.POS, Sort.NEG
@@ -359,9 +358,6 @@ def _tables():
     return {
         "rel carriers": (relmodel.CARRIERS, budgets,
                          {"a": two, "b": Carrier([UNIT])}),
-        "rel action": (relmodel.ACTIONS, budgets,
-                       {"a": identity_rel(two),
-                        "b": identity_rel(Carrier([UNIT]))}),
         "totality": (totality.TOTALITY, budgets, spaces),
         "totality families": (totality._FAMILIES, budgets, spaces),
         "phase": (phase.PHASE, space, {"a": space.closure_mask(2),

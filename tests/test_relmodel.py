@@ -8,15 +8,20 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from oracles import element_parts, fixpoint_sample
+from test_formula import random_formula
 from mullsem.budgets import Budgets
 from mullsem.errors import BudgetExceeded, CarrierMismatch
-from mullsem.formula import Neg, nnf, parse
+from mullsem.formula import (Bot, Mu, Neg, Nu, OfCourse, One, Par, Plus,
+                             Tensor, Top, WhyNot, With, Zero, fold, nnf,
+                             parse, to_text)
 from mullsem import relmodel
 from mullsem.relmodel import (Bag, Carrier, EMPTY_CARRIER, Fold, InL, InR,
                               Pair, Relation, UNIT, Unit, bag_carrier,
@@ -239,6 +244,153 @@ class TestFunctorOnRelations:
         r = rel(["a0", "a1"], ["b0"], [("a0", "b0")])
         out = functor_on_relations(parse("~(~x)"), "x", r)
         assert out.pairs == r.pairs
+
+    def test_lolli_reads_as_negation_par(self):
+        r = rel(["a0", "a1"], ["b0", "b1"], [("a0", "b0"), ("a1", "b0")])
+        env = {"y": Carrier(["c0", "c1"])}
+        for text, read in (("x -o 1", "~x | 1"), ("x -o y", "~x | y"),
+                           ("y -o (x * y)", "~y | (x * y)")):
+            assert functor_on_relations(parse(text), "x", r, env) == \
+                functor_on_relations(parse(read), "x", r, env), text
+
+    def test_non_formula_rejected(self):
+        r = rel(["a0"], ["b0"], [("a0", "b0")])
+        for bad in (42, Tensor(One(), "1")):
+            with pytest.raises(TypeError, match="not a formula"):
+                functor_on_relations(bad, "x", r)
+
+    def test_square_of_a_full_relation_is_guarded(self):
+        # the carriers of x * x hold 12^2 = 144 elements each, but x * x
+        # at the graph of the relation's 144 pairs holds 144^2 = 20,736
+        c = Carrier([f"c{i:02}" for i in range(12)])
+        full = Relation(c, c, frozenset(iproduct(c, c)))
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded,
+                           match="carrier of size 20736 exceeds cap 20000"):
+            functor_on_relations(parse("x * x"), "x", full)
+        assert time.perf_counter() - started < 1.0
+
+
+# The action as an interpreter of its own over relations: a copy of the
+# connective table the relation lifting replaced, kept as its reference.
+def _converse(r):
+    return Relation(r.tgt, r.src, frozenset((b, a) for a, b in r.pairs))
+
+
+def _ref_converse(budgets, node, rels):
+    flipped = {n: _converse(r) for n, r in rels.items()}
+    return _converse(fold(node.body, flipped, _REFERENCE, budgets))
+
+
+def _ref_product(budgets, ra, rb):
+    relmodel._guard(max(len(ra.src) * len(rb.src),
+                        len(ra.tgt) * len(rb.tgt)), budgets)
+    pairs = frozenset((Pair(a1, b1), Pair(a2, b2))
+                      for a1, a2 in ra.pairs for b1, b2 in rb.pairs)
+    return Relation(pair_carrier(ra.src, rb.src),
+                    pair_carrier(ra.tgt, rb.tgt), pairs)
+
+
+def _ref_sum(budgets, ra, rb):
+    relmodel._guard(max(len(ra.src) + len(rb.src),
+                        len(ra.tgt) + len(rb.tgt)), budgets)
+    pairs = frozenset((InL(a1), InL(a2)) for a1, a2 in ra.pairs) | \
+        frozenset((InR(b1), InR(b2)) for b1, b2 in rb.pairs)
+    return Relation(sum_carrier(ra.src, rb.src),
+                    sum_carrier(ra.tgt, rb.tgt), pairs)
+
+
+def _ref_bag(budgets, rb):
+    k = budgets.bag
+    relmodel._guard(comb(max(len(rb.src), len(rb.tgt)) + k, k), budgets)
+    relmodel._guard(comb(len(rb.pairs) + k, k), budgets)
+    pairs = {(Bag(tuple(p[0] for p in combo)), Bag(tuple(p[1] for p in combo)))
+             for n in range(k + 1)
+             for combo in combinations_with_replacement(sorted(rb.pairs), n)}
+    return Relation(bag_carrier(rb.src, k), bag_carrier(rb.tgt, k),
+                    frozenset(pairs))
+
+
+def _ref_fixpoint(budgets, node, rels):
+    def step(cur):
+        layer = fold(node.body, {**rels, node.var: cur}, _REFERENCE, budgets)
+        return Relation(
+            relmodel._folded(layer.src), relmodel._folded(layer.tgt),
+            frozenset((Fold(a), Fold(b)) for a, b in layer.pairs))
+
+    empty = Relation(EMPTY_CARRIER, EMPTY_CARRIER, frozenset())
+    cur, stabilized = relmodel._chain(step, empty, budgets)
+    if stabilized:
+        return cur
+    return Relation(Carrier._ordered(cur.src.elems, False),
+                    Carrier._ordered(cur.tgt.elems, False), cur.pairs)
+
+
+_REFERENCE = {
+    One: lambda budgets: identity_rel(relmodel.UNIT_CARRIER),
+    Bot: lambda budgets: identity_rel(relmodel.UNIT_CARRIER),
+    Zero: lambda budgets: identity_rel(EMPTY_CARRIER),
+    Top: lambda budgets: identity_rel(EMPTY_CARRIER),
+    Neg: _ref_converse,
+    Tensor: _ref_product,
+    Par: _ref_product,
+    Plus: _ref_sum,
+    With: _ref_sum,
+    OfCourse: _ref_bag,
+    WhyNot: _ref_bag,
+    Mu: _ref_fixpoint,
+    Nu: _ref_fixpoint,
+}
+
+
+def _reference_action(f, x, r, env, budgets):
+    rels = {name: identity_rel(c) for name, c in env.items()}
+    rels[x] = r
+    return fold(f, rels, _REFERENCE, budgets)
+
+
+def _answer(action, *args):
+    try:
+        return action(*args)
+    except BudgetExceeded as exc:
+        return exc
+
+
+class TestRelationLifting:
+    """functor_on_relations is the relation lifting of the carrier fold;
+    it agrees with the interpreter it replaced."""
+
+    CARRIERS = [Carrier([f"l{i}" for i in range(n)]) for n in range(4)] + [
+        interpret_carrier(parse(text), budgets=Budgets(depth=2, bag=1))
+        for text in ("1 + 1", "mu t. 1 + t", "!(1 + 1)", "1 * (1 + 1)")]
+
+    def test_matches_the_reference_interpreter(self):
+        rng = random.Random(20261019)
+        both = refused = 0
+        for _ in range(400):
+            f = random_formula(rng, 3, frozenset("xy"))
+            budgets = Budgets(depth=rng.randint(0, 3), bag=rng.randint(1, 2),
+                              carrier_cap=rng.randint(50, 3000))
+            src, tgt, fixed = (rng.choice(self.CARRIERS) for _ in range(3))
+            r = Relation(src, tgt, frozenset(
+                p for p in iproduct(src, tgt) if rng.random() < 0.5))
+            env = {"y": fixed}
+            new = _answer(functor_on_relations, f, "x", r, env, budgets)
+            old = _answer(_reference_action, f, "x", r, env, budgets)
+            if isinstance(new, BudgetExceeded) or \
+                    isinstance(old, BudgetExceeded):
+                refused += 1
+                continue
+            both += 1
+            text = to_text(f)
+            assert new.pairs == old.pairs, text
+            assert new.src == old.src and new.tgt == old.tgt, text
+            # the carriers and their flags are interpret_carrier's
+            for out, end in ((new.src, src), (new.tgt, tgt)):
+                ref = interpret_carrier(f, {**env, "x": end}, budgets)
+                assert out == ref and out.stabilized == ref.stabilized, text
+        # the sample is not vacuous
+        assert both > 300 and refused > 0
 
 
 class TestReciprocity:

@@ -251,6 +251,19 @@ class TestInterpret:
             assert restrict_antichain(seen[k].family, bound) == \
                 restrict_antichain(seen[k - 1].family, bound)
 
+    def test_depth_zero_is_never_stabilized(self):
+        # the chain takes no step, so no binder can claim its fixpoint;
+        # the flag agrees with the carrier's, as in the rel model
+        for text in ("mu x. 1 + x", "nu x. 1 + x", "mu x. x", "nu x. x",
+                     "1 + mu x. 1 * x", "mu x. nu y. 1 + x * y"):
+            f = parse(text)
+            s = interpret_totality(f, {}, Budgets(depth=0))
+            assert s.stabilized is False, text
+            assert interpret_carrier(f, budgets=Budgets(depth=0)) \
+                .stabilized is False, text
+        assert interpret_totality(parse("1 + 1"), {},
+                                  Budgets(depth=0)).stabilized is True
+
     def test_unfolding_regression_list(self):
         texts = ["mu x. 1 + x", "nu x. 1 + x", "mu x. x", "nu x. x",
                  "mu x. 1 & x", "nu x. 1 & x", "mu x. (1 + x) * 1",
@@ -320,6 +333,43 @@ class TestTotalMorphisms:
 def compose_rel_local(r1, r2):
     from mullsem.relmodel import compose_rel
     return compose_rel(r1, r2)
+
+
+class TestLiftingPremise:
+    """The premise of the lifting theorem on the concrete model: a
+    formula's action on relations carries total morphisms A -> B to
+    total morphisms F(A) -> F(B)."""
+
+    BODIES = ("x", "1 + x", "x + x", "x * x", "1 * x", "x & x", "x | x",
+              "!x", "?x", "mu y. 1 + x * y", "nu y. x & y", "mu y. x + y")
+
+    def test_action_preserves_total_morphisms(self):
+        budgets = Budgets(depth=2, bag=2)
+        # every up-closed family on 0, 1 and 2 labels: 2 + 3 + 6 spaces
+        spaces = [TotalitySpace(c, family) for n in range(3)
+                  for c in [Carrier([f"l{i}" for i in range(n)])]
+                  for family in enumerate_families(c)]
+        assert len(spaces) == 11
+        total = []
+        for a in spaces:
+            for b in spaces:
+                grid = [(p, q) for p in a.carrier for q in b.carrier]
+                for bits in range(1 << len(grid)):
+                    r = Relation(a.carrier, b.carrier, frozenset(
+                        p for i, p in enumerate(grid) if bits >> i & 1))
+                    if check_total_morphism(r, a, b):
+                        total.append((r, a, b))
+        checks = 0
+        for text in self.BODIES:
+            f = parse(text)
+            lifted = {id(s): interpret_totality(f, {"x": s}, budgets)
+                      for s in spaces}
+            for r, a, b in total:
+                out = relmodel.functor_on_relations(f, "x", r, budgets=budgets)
+                assert check_total_morphism(out, lifted[id(a)],
+                                            lifted[id(b)]), (text, r.pairs)
+                checks += 1
+        assert checks == 5064
 
 
 class TestErrorsAndEnv:
