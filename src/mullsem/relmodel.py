@@ -24,9 +24,11 @@ from .lattice import iterate
 class Elem:
     """Base class of carrier elements; immutable, totally ordered.
 
-    Each constructor caches the element's sort key and hash, built from
-    its children's cached values, so both cost O(1) however deeply the
-    element nests.  Equality stays structural; the carrier builders
+    Each constructor caches the element's hash, built from its
+    children's cached hashes, so it costs O(1) however deeply the
+    element nests.  The sort key is computed on first use, from the
+    children's keys, and kept (see ``sort_key``): most elements are
+    never ordered.  Equality stays structural; the carrier builders
     also share equal elements within an interpretation (``_Elements``),
     so there equality is mostly identity.  An element keeps the text
     ``str`` hands out for it, and ``render_elem`` keeps the texts of
@@ -59,8 +61,9 @@ class Elem:
 
 
 # The element classes are frozen dataclasses with one __init__ each,
-# which writes the fields and caches through the slots' setters, past
-# the frozen __setattr__.  __slots__ is declared by hand rather than by
+# which writes the fields and the hash through the slots' setters, past
+# the frozen __setattr__; the _key slot stays unset until sort_key is
+# first asked.  __slots__ is declared by hand rather than by
 # slots=True, which rebuilds the class: assigning a name that is not a
 # field of the rebuilt class raises TypeError, not FrozenInstanceError,
 # and before Python 3.11 it declares inherited fields a second time.
@@ -75,7 +78,6 @@ class Unit(Elem):
     __slots__ = ()
 
     def __init__(self):
-        _set_key(self, (0,))
         _set_hash(self, hash((0,)))
         _set_text(self, None)
 
@@ -88,16 +90,11 @@ class _Wrapper(Elem):
     value: Elem
 
     def __init__(self, value):
-        # sort_key (which defines a plain label's key) and hash inlined:
-        # a call per child would cost about as much again
-        if isinstance(value, Elem):
-            key, h = value._key, value._hash
-        else:
-            key, h = (-1, repr(value)), hash(value)
-        tag = self._TAG
+        # the child's hash inlined: a __hash__ call per child would cost
+        # about as much again
+        h = value._hash if isinstance(value, Elem) else hash(value)
         _set_value(self, value)
-        _set_key(self, (tag, key))
-        _set_hash(self, hash((tag, h)))
+        _set_hash(self, hash((self._TAG, h)))
         _set_text(self, None)
 
 
@@ -123,18 +120,11 @@ class Pair(Elem):
     second: Elem
 
     def __init__(self, first, second):
-        # sort_key and hash inlined per component, as in _Wrapper
-        if isinstance(first, Elem):
-            key1, h1 = first._key, first._hash
-        else:
-            key1, h1 = (-1, repr(first)), hash(first)
-        if isinstance(second, Elem):
-            key2, h2 = second._key, second._hash
-        else:
-            key2, h2 = (-1, repr(second)), hash(second)
+        # the hashes inlined per component, as in _Wrapper
+        h1 = first._hash if isinstance(first, Elem) else hash(first)
+        h2 = second._hash if isinstance(second, Elem) else hash(second)
         _set_first(self, first)
         _set_second(self, second)
-        _set_key(self, (3, key1, key2))
         _set_hash(self, hash((3, h1, h2)))
         _set_text(self, None)
 
@@ -151,10 +141,8 @@ class Bag(Elem):
     items: tuple
 
     def __init__(self, items):
-        keyed = sorted([(sort_key(x), x) for x in items], key=_by_key)
-        items = tuple([x for _, x in keyed])
+        items = tuple(sorted(items, key=sort_key))
         _set_items(self, items)
-        _set_key(self, (4, len(items), tuple([k for k, _ in keyed])))
         # the items' hashes as in _Wrapper
         _set_hash(self, hash((4, *[x._hash if isinstance(x, Elem)
                                    else hash(x) for x in items])))
@@ -162,7 +150,6 @@ class Bag(Elem):
 
 
 _set_items = Bag.items.__set__
-_by_key = operator.itemgetter(0)
 
 
 @_elem_class
@@ -177,10 +164,29 @@ UNIT = Unit()
 def sort_key(e):
     """Total-order key of a carrier member.
 
-    Elements return their cached key; carriers may also hold plain
-    labels (symbolic finite sets), which order by repr before elements.
+    An element's key is computed from its children's keys the first
+    time it is asked for, and kept in the element.  Carriers may also
+    hold plain labels (symbolic finite sets), which order by repr before
+    elements.
     """
-    return e._key if isinstance(e, Elem) else (-1, repr(e))
+    if not isinstance(e, Elem):
+        return (-1, repr(e))
+    try:
+        return e._key
+    except AttributeError:
+        pass
+    # one frame per level, as in fold_depth and render_elem
+    t = type(e)
+    if t is Pair:
+        key = (3, sort_key(e.first), sort_key(e.second))
+    elif t is Bag:
+        key = (4, len(e.items), tuple([sort_key(x) for x in e.items]))
+    elif t is Unit:
+        key = (0,)
+    else:  # InL, InR or Fold
+        key = (e._TAG, sort_key(e.value))
+    _set_key(e, key)
+    return key
 
 
 def fold_depth(e) -> int:
@@ -495,13 +501,22 @@ def _chain(step, start, budgets, same=operator.eq):
         return exc.last, False
 
 
-def _fixpoint_carrier(budgets, node, env):
+def _fixpoint_chain(budgets, node, env):
     """The Kleene chain of the body from the empty carrier, cut at the
-    depth budget, with each layer wrapped in Fold."""
+    depth budget, with each layer wrapped in Fold.
+
+    Returns its last iterate C_k and the iterate that C_k is the fold
+    of: C_{k-1}, or C_k itself when the chain stabilized.  Fold maps the
+    body's carrier at that iterate onto C_k in order.  At depth 0 no
+    step runs, and the second carrier is the empty C_0, which folds
+    nothing.
+    """
     inner_stable = True
+    folded = EMPTY_CARRIER
 
     def step(cur):
-        nonlocal inner_stable
+        nonlocal inner_stable, folded
+        folded = cur
         layer = fold(node.body, {**env, node.var: cur}, CARRIERS, budgets)
         inner_stable = inner_stable and layer.stabilized
         _guard(len(layer), budgets)
@@ -511,7 +526,7 @@ def _fixpoint_carrier(budgets, node, env):
     # iterate with no new element equals its predecessor
     cur, stabilized = _chain(step, EMPTY_CARRIER, budgets,
                              lambda nxt, cur: len(nxt) == len(cur))
-    return Carrier._ordered(cur.elems, stabilized and inner_stable)
+    return Carrier._ordered(cur.elems, stabilized and inner_stable), folded
 
 
 # The carrier of each constructor (the fold reads a -o b as ~a | b).
@@ -529,8 +544,8 @@ CARRIERS = {
     With: _sum,
     OfCourse: _bag,
     WhyNot: _bag,
-    Mu: _fixpoint_carrier,
-    Nu: _fixpoint_carrier,
+    Mu: lambda budgets, node, env: _fixpoint_chain(budgets, node, env)[0],
+    Nu: lambda budgets, node, env: _fixpoint_chain(budgets, node, env)[0],
 }
 
 

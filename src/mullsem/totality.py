@@ -21,8 +21,8 @@ from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       fold)
 from .lattice import FiniteLattice, iterate
 from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER, _bag,
-                       _interning, _product, bit_indices, fold_depth,
-                       interpret_carrier, sum_carrier)
+                       _fixpoint_chain, _interning, _product, bit_indices,
+                       fold_depth, sum_carrier)
 
 TRANSVERSAL_BOUND = 12
 
@@ -360,15 +360,28 @@ def _fix(budgets, node, env):
 
 
 def _fix_at(table, budgets, node, env):
-    """The fixpoint family at ``budgets.depth``, its body folded in table."""
-    carrier_env = {name: s.carrier for name, s in env.items()}
-    carrier = interpret_carrier(node, carrier_env, budgets)
+    """The fixpoint family at ``budgets.depth``, its body folded in table.
+
+    The carrier is the last iterate C_k of the rel chain.  Each step
+    restricts the family to the iterate that C_k folds and folds the
+    body over that restriction, so the body's carrier is the one that
+    Fold maps onto C_k.
+    """
+    carrier, folded = _fixpoint_chain(
+        budgets, node, {name: s.carrier for name, s in env.items()})
+    # folded is a subset of carrier in the same order, so renumbering the
+    # bits of the minimal sets inside it keeps them sorted
+    rank = {carrier.index(e): j for j, e in enumerate(folded.elems)}
+    outside = (1 << len(carrier)) - 1 - sum(1 << i for i in rank)
     inner_stable = True
 
     def step(fam):
         nonlocal inner_stable
+        restricted = UpFamily._trusted(folded, tuple([
+            sum(1 << rank[i] for i in bit_indices(m))
+            for m in fam.minima if not m & outside]))
         body_space = fold(node.body,
-                          {**env, node.var: TotalitySpace(carrier, fam)},
+                          {**env, node.var: TotalitySpace(folded, restricted)},
                           table, budgets)
         inner_stable = inner_stable and body_space.stabilized
         return _reindex_along_fold(carrier, body_space)
@@ -412,29 +425,19 @@ _FAMILIES = {
 }
 
 
-def _reindex_along_fold(carrier: Carrier, body_space: TotalitySpace) -> UpFamily:
+def _reindex_along_fold(carrier: Carrier, body_space: TotalitySpace
+                        ) -> UpFamily:
     """Pull the body family back along the inverse of the fold wrapping.
 
-    A subset of the fixpoint carrier is total iff stripping one Fold
-    layer lands in the body family; on minimal antichains this wraps
-    each minimal set and drops those leaving the truncated carrier.
+    Fold maps the body's carrier onto the fixpoint carrier in order, so
+    each minimal set keeps its mask.  At depth 0 the fixpoint carrier is
+    the empty C_0, which folds nothing: only the empty minimal set is a
+    subset of it.
     """
-    position = {f.value: i for i, f in enumerate(carrier.elems)}
-    # body index -> carrier index of its Fold; increasing where defined,
-    # since Fold keeps the order
-    target = [position.get(e) for e in body_space.carrier.elems]
-    minima = []
-    for m in body_space.family.minima:
-        mask = 0
-        for j in bit_indices(m):
-            i = target[j]
-            if i is None:
-                break
-            mask |= 1 << i
-        else:
-            minima.append(mask)
-    # an injective, order-preserving image of a sorted antichain
-    return UpFamily._trusted(carrier, tuple(minima))
+    minima = body_space.family.minima
+    if len(body_space.carrier) != len(carrier) and minima != (0,):
+        minima = ()
+    return UpFamily._trusted(carrier, minima)
 
 
 def restrict_antichain(family: UpFamily, depth_bound: int) -> tuple:

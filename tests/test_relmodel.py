@@ -961,3 +961,68 @@ class TestElemClasses:
         assert Pair(first=UNIT, second="a") == Pair(UNIT, "a")
         assert InL(value=UNIT) == InL(UNIT)
         assert Bag(items=("b", "a")).items == ("a", "b")
+
+
+def _has_key(e):
+    """Whether e's sort key has been computed (the slot is set)."""
+    return hasattr(e, "_key")
+
+
+class TestLazyKeys:
+    """An element computes its sort key the first time it is asked for,
+    from its children's keys, and keeps it."""
+
+    def test_builders_compute_no_key(self, monkeypatch):
+        asked = []
+        key = relmodel.sort_key
+        monkeypatch.setattr(relmodel, "sort_key",
+                            lambda e: asked.append(e) or key(e))
+        # the largest carrier of the totality-fixpoints grammar without
+        # ! or ?, whose bags sort their items
+        text = "mu x. nu y. (1 + 1 + 1) + x * (1 + 1) + y"
+        c = interpret_carrier(parse(text), budgets=Budgets(depth=4, bag=2))
+        assert len(c) == 7020
+        assert asked == []
+        parts = element_parts(c.elems)
+        assert len(parts) > len(c)
+        assert not any(_has_key(p) for p in parts if p is not UNIT)
+
+    @pytest.mark.parametrize("parents_first", [True, False])
+    def test_first_key_is_the_recursive_key(self, parents_first):
+        c = interpret_carrier(parse("mu x. nu y. 1 + x * y"),
+                              budgets=Budgets(depth=3))
+        parts = [p for p in element_parts(c.elems) if p is not UNIT]
+        assert not any(map(_has_key, parts))
+        # the longest texts first: each key is computed through its
+        # children's; the shortest first: from children's kept keys
+        ordered = sorted(parts, key=lambda p: len(_reference_render(p)),
+                         reverse=parents_first)
+        keys = [sort_key(p) for p in ordered]
+        assert keys == [_recursive_sort_key(p) for p in ordered]
+        assert all(p._key is k for p, k in zip(ordered, keys))
+        assert [sort_key(p) for p in ordered] == keys
+
+    def test_random_elements_with_labels(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            e = _random_elem(rng, 5)
+            assert sort_key(e) == _recursive_sort_key(e)
+
+    def test_pickle_replace_and_frozen_key(self):
+        e = Pair(Fold(InL(UNIT)), InR("a"))
+        assert not _has_key(e)
+        for kept in (False, True):
+            with pytest.raises(FrozenInstanceError):
+                e._key = (0,)
+            with pytest.raises(FrozenInstanceError):
+                del e._key
+            # pickling rebuilds through the constructor: no key travels
+            copy = pickle.loads(pickle.dumps(e))
+            assert copy == e and not _has_key(copy)
+            assert sort_key(copy) == _recursive_sort_key(e)
+            assert _has_key(e) is kept
+            sort_key(e)
+        swapped = dataclasses.replace(e, second=InL("b"))
+        assert not _has_key(swapped)
+        assert sort_key(swapped) == _recursive_sort_key(swapped) \
+            < sort_key(e)

@@ -1,25 +1,30 @@
 import gc
 import hashlib
+import json
 import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from oracles import (brute_biclosure, brute_orthogonal, brute_upward_closure,
                      element_parts, explicit_members, fixpoint_sample,
                      powerset)
+from test_formula import random_formula
 from mullsem import _kernels as kernels
 from mullsem import relmodel, totality
 from mullsem.budgets import Budgets
 from mullsem.errors import (BudgetExceeded, CarrierTooLarge,
-                            IterationBudgetExceeded, UnsupportedConstructor,
-                            VarianceError)
-from mullsem.formula import parse, substitute
+                            IterationBudgetExceeded, MullsemError,
+                            UnsupportedConstructor, VarianceError)
+from mullsem.formula import (EMPTY_CONTEXT, Mu, check_variance, fold, parse,
+                             substitute, to_text)
+from mullsem.lattice import iterate
 from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
-                              UNIT, bags_over, fold_depth, identity_rel,
-                              interpret_carrier)
+                              UNIT, bags_over, bit_indices, fold_depth,
+                              identity_rel, interpret_carrier)
 from mullsem.totality import (TotalitySpace, UpFamily, _reindex_along_fold,
                               biclosure, check_total_morphism,
                               enumerate_families, family_lattice,
@@ -444,11 +449,11 @@ class TestExponentials:
 
 
 class TestWithBudget:
-    # the & of m and n minimal sets has m * n minima; unguarded, these
-    # formulas reach 621,435, 357,012 and 44,324 of them at depth 3 and
-    # run out of memory (the CLI tests use the default cap)
+    # the & of m and n minimal sets has m * n minima; unguarded, the
+    # antichains of such formulas grow past any memory (the CLI tests use
+    # the default cap)
     @pytest.mark.parametrize("text", ["mu x. nu y. (1 + x) & (1 + y)",
-                                      "mu x. mu y. (1 + 1) + (x & y)",
+                                      "mu x. mu y. (1 + 1 + 1) + (x & y)",
                                       "mu x. nu y. (1 + 1) + (x & y)"])
     def test_guard_raises_before_building(self, text):
         message = r"^& of \d+ x \d+ minimal sets .* exceeds cap 2000$"
@@ -591,10 +596,16 @@ class TestIndexArithmeticMinima:
         rng = random.Random(9)
         for body in _random_spaces(rng, 40):
             elems = body.carrier.elems
+            # the body's carrier is the one Fold maps onto the fixpoint
+            # carrier, so the masks carry over
+            carrier = Carrier([Fold(e) for e in elems])
+            got = _reindex_along_fold(carrier, body)
+            assert got.minima == _element_reindex(carrier, body).minima
+            # the reference's partial map, onto part of the carrier
             for _ in range(3):
                 kept = [e for e in elems if rng.random() < 0.7]
                 carrier = Carrier([Fold(e) for e in kept])
-                got = _reindex_along_fold(carrier, body)
+                got = _reference_reindex(carrier, body)
                 want = _element_reindex(carrier, body)
                 assert got.minima == want.minima
 
@@ -658,8 +669,8 @@ class TestRestrictAntichain:
                     want = _restrict_by_members(space.family, bound)
                     assert repr(got) == repr(want), (text, depth, bound)
                     split += 0 < len(got) < len(space.family.minima)
-        assert built == 14
-        assert split == 16
+        assert built == 19
+        assert split == 21
 
 
 class TestInterning:
@@ -674,15 +685,19 @@ class TestInterning:
             assert id(p.first) in members and id(p.second) in members
 
     def test_fixpoint_carriers_share_one_table(self, monkeypatch):
+        # every carrier a fixpoint step reads: each chain's last iterate
+        # and the iterate it folds
         made = []
+        chain = totality._fixpoint_chain
 
-        def recorded(*args, **kwargs):
-            made.append(interpret_carrier(*args, **kwargs))
-            return made[-1]
-        monkeypatch.setattr(totality, "interpret_carrier", recorded)
+        def recorded(*args):
+            carriers = chain(*args)
+            made.extend(carriers)
+            return carriers
+        monkeypatch.setattr(totality, "_fixpoint_chain", recorded)
         interpret_totality(parse("mu x. nu y. 1 + x * y"), {},
                            Budgets(depth=3))
-        assert len(made) == 11
+        assert len(made) == 2 * 11
         first = {}
         for c in made:
             for e in c:
@@ -748,3 +763,189 @@ class TestInterning:
             parts = {id(e) for e in element_parts(elems)} - {id(UNIT)}
             assert not parts & owned
             owned |= parts
+
+
+# ---------------------------------------------------------------------------
+# the fixpoint step folds the body over the penultimate carrier
+
+def _reference_reindex(carrier, body_space):
+    """The step's reindexing when the body was folded over the last
+    carrier C_k (reference): each minimal set is wrapped in Fold, and
+    those that leave C_k are dropped."""
+    position = {f.value: i for i, f in enumerate(carrier.elems)}
+    target = [position.get(e) for e in body_space.carrier.elems]
+    minima = []
+    for m in body_space.family.minima:
+        mask = 0
+        for j in bit_indices(m):
+            i = target[j]
+            if i is None:
+                break
+            mask |= 1 << i
+        else:
+            minima.append(mask)
+    return UpFamily._trusted(carrier, tuple(minima))
+
+
+def _reference_fix_at(table, budgets, node, env):
+    """totality._fix_at with the body folded over C_k (reference)."""
+    carrier_env = {name: s.carrier for name, s in env.items()}
+    carrier = interpret_carrier(node, carrier_env, budgets)
+    inner_stable = True
+
+    def step(fam):
+        nonlocal inner_stable
+        body_space = fold(node.body,
+                          {**env, node.var: TotalitySpace(carrier, fam)},
+                          table, budgets)
+        inner_stable = inner_stable and body_space.stabilized
+        return _reference_reindex(carrier, body_space)
+
+    least = type(node) is Mu
+    start = UpFamily.empty(carrier) if least else UpFamily.full(carrier)
+    fam = iterate(step, start, budgets.iter_cap)
+    return TotalitySpace(carrier, fam, inner_stable)
+
+
+def _outcome(f, budgets):
+    """(carrier, minima, flag) of the totality space, or the error."""
+    try:
+        space = interpret_totality(f, {}, budgets)
+    except MullsemError as exc:
+        return exc
+    return space.carrier.elems, space.family.minima, space.stabilized
+
+
+def _both(monkeypatch, f, budgets):
+    """The outcome of the step, then the reference's."""
+    new = _outcome(f, budgets)
+    with monkeypatch.context() as m:
+        m.setattr(totality, "_fix_at", _reference_fix_at)
+        return new, _outcome(f, budgets)
+
+
+def _benchmark_grammar():
+    """Every formula of the totality-fixpoints benchmark grammar: the
+    keys of its answered and its skipped jobs."""
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+            / "totality-fixpoints.json")
+    with open(path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    keys = list(golden["digests"]) + list(golden["skipped"])
+    return sorted({k.split("|", 2)[2] for k in keys})
+
+
+class TestPenultimateStep:
+    """Each fixpoint step folds the body over the iterate that C_k folds
+    (C_{k-1}, or C_k once the chain stabilized).  It agrees with the
+    step that folded the body over C_k wherever the carrier chain
+    stabilized, and refuses nothing that step answers."""
+
+    def test_benchmark_grammar_sample(self, monkeypatch):
+        # cap 1000 keeps the fixture's antichain checks short
+        formulas = random.Random(13).sample(_benchmark_grammar(), 60)
+        counts = {"equal": 0, "flag": 0, "new": 0}
+        for text in formulas:
+            for depth in (2, 3, 4):
+                budgets = Budgets(depth=depth, bag=2, carrier_cap=1000)
+                new, old = _both(monkeypatch, parse(text), budgets)
+                if isinstance(old, MullsemError):
+                    counts["new"] += not isinstance(new, MullsemError)
+                    continue
+                assert not isinstance(new, MullsemError), (text, depth, new)
+                if new == old:
+                    counts["equal"] += 1
+                    continue
+                # at depth 2 the flag compares with depth 1, where the
+                # step sees only C_0 = {}: the carrier and minima agree,
+                # and the flag only ever claims less, on a truncated chain
+                assert depth == 2, (text, depth)
+                assert new[:2] == old[:2] and (new[2], old[2]) == \
+                    (False, True), text
+                assert not interpret_carrier(parse(text), {},
+                                             budgets).stabilized, text
+                counts["flag"] += 1
+        assert counts == {"equal": 95, "flag": 1, "new": 31}
+
+    def test_random_formulas_where_the_chain_stabilized(self, monkeypatch):
+        rng = random.Random(20261019)
+        counts = {"equal": 0, "truncated": 0, "new": 0, "refused": 0}
+        differ = 0
+        while sum(counts.values()) < 2000:
+            f = random_formula(rng, rng.randint(2, 4), frozenset())
+            try:
+                check_variance(EMPTY_CONTEXT, f)
+            except MullsemError:
+                continue
+            budgets = Budgets(depth=rng.randint(0, 3), bag=2)
+            new, old = _both(monkeypatch, f, budgets)
+            if isinstance(old, MullsemError):
+                counts["refused" if isinstance(new, MullsemError)
+                       else "new"] += 1
+                continue
+            text = to_text(f)
+            assert not isinstance(new, MullsemError), (text, new)
+            if interpret_carrier(f, {}, budgets).stabilized:
+                assert new == old, text
+                counts["equal"] += 1
+            else:
+                counts["truncated"] += 1
+                differ += new != old
+        assert counts == {"equal": 1223, "truncated": 398, "new": 9,
+                          "refused": 370}
+        assert differ == 0
+
+    @pytest.mark.parametrize("text, cap, refusal", [
+        # the body's carrier F(C_3) is 147 x 147 pairs, over the cap;
+        # the answer's carrier holds 147 elements
+        pytest.param("mu x. (1 + 1 + 1) + x * x", 20000,
+                     "^carrier of size 21609 exceeds cap 20000$",
+                     id="mu x. (1 + 1 + 1) + x * x"),
+        pytest.param("mu x. mu y. (1 + 1) + (x & y)", 2000,
+                     r"^& of \d+ x \d+ minimal sets .* exceeds cap 2000$",
+                     id="mu x. mu y. (1 + 1) + (x & y)")])
+    def test_now_answers(self, monkeypatch, text, cap, refusal):
+        budgets = Budgets(depth=3, bag=2, carrier_cap=cap)
+        space = interpret_totality(parse(text), {}, budgets)
+        assert space.carrier == interpret_carrier(parse(text), {}, budgets)
+        monkeypatch.setattr(totality, "_fix_at", _reference_fix_at)
+        with pytest.raises(BudgetExceeded, match=refusal):
+            interpret_totality(parse(text), {}, budgets)
+
+    def test_wider_product_answer(self):
+        space = interpret_totality(parse("mu x. (1 + 1 + 1) + x * x"), {},
+                                   Budgets(depth=3, bag=2))
+        assert len(space.carrier) == 147
+        # every element is total on its own
+        assert len(space.family.minima) == 147
+        assert all(m.bit_count() == 1 for m in space.family.minima)
+        assert space.stabilized is True
+
+    def test_truncated_carrier_under_a_dualizing_connective(self,
+                                                            monkeypatch):
+        # restriction to C_{k-1} does not commute with the orthogonal,
+        # so on a truncated chain the two steps may differ; about one
+        # random formula in a few thousand does
+        f = parse("mu x. ?(!x * (0 + top))")
+        one = Budgets(depth=1, bag=2)
+        assert interpret_carrier(f, {}, one).stabilized is False
+        new, old = _both(monkeypatch, f, one)
+        total = Fold(Bag(()))
+        assert new[0] == old[0] == (total,)
+        assert (new[1], old[1]) == ((1,), (0,))  # {{fold([])}}, {{}}
+        new, old = _both(monkeypatch, f, Budgets(depth=2, bag=2))
+        assert new[:2] == old[:2] == ((total,), (0,))
+        assert (new[2], old[2]) == (False, True)
+        new, old = _both(monkeypatch, f, Budgets(depth=3, bag=2))
+        assert new == old == ((total,), (0,), True)
+
+    def test_depth_zero_keeps_only_the_empty_minimum(self, monkeypatch):
+        # C_0 is empty and folds nothing: the empty set is total iff the
+        # body over C_0 holds it, as before
+        for text, minima in (("mu x. 1 + x", ()), ("nu x. 1 + x", (0,)),
+                             ("mu x. x", ()), ("nu x. x", (0,)),
+                             ("nu x. 1 & x", ()), ("nu x. !x", ()),
+                             ("nu x. ?x", (0,))):
+            new, old = _both(monkeypatch, parse(text),
+                             Budgets(depth=0, bag=2))
+            assert new == old == ((), minima, False), text
