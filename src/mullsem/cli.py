@@ -192,11 +192,13 @@ def cmd_interp(args):
 
 def cmd_phase_search(args):
     from .formula import EMPTY_CONTEXT, check_variance, parse, to_text
-    from .phase import render_phase_space, search_counter_model
+    from .phase import (MAX_SEARCH_SIZE, render_phase_space,
+                        search_counter_model)
     f = parse(args.formula)
     check_variance(EMPTY_CONTEXT, f)
-    if args.max_size < 1 or args.max_size > 5:
-        raise FileFormatError("--max-size must be between 1 and 5")
+    if args.max_size < 1 or args.max_size > MAX_SEARCH_SIZE:
+        raise FileFormatError("--max-size must be between 1 and "
+                              f"{MAX_SEARCH_SIZE}")
     found = search_counter_model(f, args.max_size)
     payload = {"command": "phase-search", "formula": to_text(f),
                "max_size": args.max_size,

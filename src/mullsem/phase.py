@@ -8,7 +8,7 @@ commutative monoids up to isomorphism together with all poles.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
 
 from . import _kernels as kernels
 from .errors import FileFormatError, UnboundVariable
@@ -26,7 +26,7 @@ class PhaseSpace:
     """
 
     __slots__ = ("elements", "unit", "pole", "_index", "_table", "_pole_mask",
-                 "_unit_index", "_exponential")
+                 "_unit_index", "_exponential", "_orthogonals")
 
     def __init__(self, elements, unit, table, pole):
         self.elements = tuple(elements)
@@ -68,6 +68,7 @@ class PhaseSpace:
         self._table = tuple(flat)
         self._unit_index = self._index.get(unit, 0)
         self._exponential = None
+        self._orthogonals = {}
         self._pole_mask = 0
         for e in self.pole:
             if e in self._index:
@@ -91,7 +92,9 @@ class PhaseSpace:
         space._table = self._table
         space._unit_index = self._unit_index
         space._pole_mask = pole_mask
-        space._exponential = None  # the base of ! and ? depends on the pole
+        # the base of ! and ? and the orthogonals depend on the pole
+        space._exponential = None
+        space._orthogonals = {}
         space.pole = self.set_of(pole_mask)
         return space
 
@@ -136,8 +139,12 @@ class PhaseSpace:
         return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
     def orthogonal_mask(self, mask):
-        return kernels.phase_orthogonal(self._table, len(self.elements),
-                                        self._pole_mask, mask)
+        """The orthogonal of a subset, computed once per space and mask."""
+        out = self._orthogonals.get(mask)
+        if out is None:
+            out = self._orthogonals[mask] = kernels.phase_orthogonal(
+                self._table, len(self.elements), self._pole_mask, mask)
+        return out
 
     def closure_mask(self, mask):
         return self.orthogonal_mask(self.orthogonal_mask(mask))
@@ -263,13 +270,20 @@ def _holds(space, f) -> bool:
 
 _NAMES = ("e", "a", "b", "c", "d", "f", "g", "h")
 
+# the largest monoid order a counter-model search goes through
+MAX_SEARCH_SIZE = 6
+
 
 def enumerate_commutative_monoids(n: int):
     """Multiplication tables of the commutative monoids of order n, up to
     isomorphism, as flat index tuples with element 0 as the unit.
 
-    Deterministic: tables are produced in lexicographic order of their
-    canonical (minimal relabelling) form.
+    Orderly generation: the cells above the diagonal are filled row by
+    row, and at the end of each row a partial table is dropped as soon
+    as some relabelling fixing the unit gives a lexicographically
+    smaller prefix of determined cells.  The tables that survive are
+    the minimal relabellings of their classes, produced in increasing
+    order.
     """
     if n < 1:
         return []
@@ -311,6 +325,35 @@ def enumerate_commutative_monoids(n: int):
                             return False
         return True
 
+    # A table's lexicographic order is that of its cells above the
+    # diagonal, in filling order: rows and columns 0 are fixed, and a
+    # cell below the diagonal repeats an earlier one.  A relabelling
+    # fixing the unit sends element i to position[i]; its reads pair
+    # each cell of the relabelled table with the cell it is read from.
+    relabellings = []
+    for perm in islice(permutations(range(1, n)), 1, None):  # no identity
+        position = (0,) + perm
+        source = [0] * n
+        for i, p in enumerate(position):
+            source[p] = i
+        relabellings.append((position, [(i * n + j, source[i] * n + source[j])
+                                        for i, j in cells]))
+
+    def minimal():
+        t = table
+        for position, reads in relabellings:
+            for k, s in reads:
+                mine = t[k]
+                theirs = t[s]
+                if mine < 0 or theirs < 0:
+                    break  # the rest of the prefix is not determined
+                theirs = position[theirs]
+                if theirs != mine:
+                    if theirs < mine:
+                        return False
+                    break
+        return True
+
     found = []
 
     def fill(k):
@@ -320,30 +363,12 @@ def enumerate_commutative_monoids(n: int):
         i, j = cells[k]
         for val in range(n):
             table[i * n + j] = table[j * n + i] = val
-            if associative_at(i, j):
+            if associative_at(i, j) and (j < n - 1 or minimal()):
                 fill(k + 1)
         table[i * n + j] = table[j * n + i] = -1
 
     fill(0)
-    relabellings = _relabellings(n)
-    return sorted({min(tuple([position[flat[k]] for k in source])
-                       for position, source in relabellings)
-                   for flat in found})
-
-
-def _relabellings(n):
-    """(position, source) for each relabelling fixing the unit 0: element
-    i becomes position[i], and cell k of the relabelled table is cell
-    source[k] of the original."""
-    out = []
-    for perm in permutations(range(1, n)):
-        position = (0,) + perm
-        source = [0] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                source[position[i] * n + position[j]] = i * n + j
-        out.append((position, source))
-    return out
+    return found
 
 
 def space_from_table(flat, n, pole_mask) -> PhaseSpace:
@@ -365,8 +390,9 @@ def enumerate_spaces(max_size: int):
 
 def search_counter_model(f: Formula, max_size: int = 5):
     """First enumerated space in which f does not hold, or None."""
-    if max_size > 5:
-        raise ValueError("counter-model search is capped at monoids of size 5")
+    if max_size > MAX_SEARCH_SIZE:
+        raise ValueError("counter-model search is capped at monoids of "
+                         f"size {MAX_SEARCH_SIZE}")
     _check_formula(f)  # once per search, not once per space
     for space in enumerate_spaces(max_size):
         if not _holds(space, f):

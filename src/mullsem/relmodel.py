@@ -175,7 +175,7 @@ def sort_key(e):
         return e._key
     except AttributeError:
         pass
-    # one frame per level, as in fold_depth and render_elem
+    # one frame per level, as in render_elem
     t = type(e)
     if t is Pair:
         key = (3, sort_key(e.first), sort_key(e.second))
@@ -191,18 +191,24 @@ def sort_key(e):
 
 def fold_depth(e) -> int:
     """Maximal nesting of Fold constructors inside e."""
-    # dispatch on the exact type, as render_elem does: class patterns
-    # in a match statement cost several times more per level
-    t = type(e)
-    if t is Fold:
-        return 1 + fold_depth(e.value)
-    if t is InR or t is InL:
-        return fold_depth(e.value)
-    if t is Pair:
-        return max(fold_depth(e.first), fold_depth(e.second))
-    if t is Bag:
-        return max(map(fold_depth, e.items), default=0)
-    return 0
+    # loops down chains of Fold, InL and InR and recurses only at Pair
+    # and Bag, so a deep fixpoint element takes no frame per constructor;
+    # dispatch on the exact type, as render_elem does: class patterns in
+    # a match statement cost several times more per level
+    depth = 0
+    while True:
+        t = type(e)
+        if t is Fold:
+            depth += 1
+            e = e.value
+        elif t is InR or t is InL:
+            e = e.value
+        elif t is Pair:
+            return depth + max(fold_depth(e.first), fold_depth(e.second))
+        elif t is Bag:
+            return depth + max(map(fold_depth, e.items), default=0)
+        else:
+            return depth
 
 
 def render_elem(e) -> str:

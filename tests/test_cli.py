@@ -91,6 +91,24 @@ class TestInterp:
         assert data["carrier"] == []
         assert data["stabilized"] is False
 
+    def test_deep_totality_answer_is_not_a_traceback(self):
+        # the stabilization check reads the fold depth of elements 600
+        # Folds deep; a child process has the default stack and no
+        # pytest frames below it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mullsem", "--format", "machine",
+             "interp", "--model", "totality", "--depth", "600",
+             "mu x. 1 + x"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert len(data["carrier"]) == 600
+        assert len(data["minimal_antichain"]) == 600
+
     @pytest.mark.parametrize("text", ["!0", "?0"])
     def test_exponential_of_empty_carrier(self, capsys, text):
         # the empty carrier has exactly one bag, the empty one
@@ -161,6 +179,17 @@ class TestPhaseSearch:
         code, data, _ = run_json(capsys, "phase-search", "--max-size", "2", "1")
         assert code == 0
         assert data["counter_model"] is None
+
+    def test_size_cap(self, capsys):
+        code, data, _ = run_json(capsys, "phase-search", "--max-size", "6",
+                                 "(1 & bot) -o 1")
+        assert code == 0
+        assert data["max_size"] == 6
+        assert data["counter_model"] is None
+        code, out, err = run(capsys, "phase-search", "--max-size", "7", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "input error: --max-size must be between 1 and 6\n"
 
 
 class TestFix:

@@ -1,11 +1,16 @@
 """Parallel-worker safety: pure interpreters give identical results
 from concurrent threads over shared immutable structures."""
 
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from mullsem import _kernels as kernels
 from mullsem.budgets import Budgets
 from mullsem.formula import parse
-from mullsem.phase import PhaseSpace, interpret_phase, search_counter_model
+from mullsem.phase import (PhaseSpace, enumerate_commutative_monoids,
+                           interpret_phase, search_counter_model,
+                           space_from_table)
 from mullsem.relmodel import interpret_carrier
 from mullsem.totality import interpret_totality
 
@@ -23,6 +28,32 @@ def test_concurrent_phase_interpretation():
     with ThreadPoolExecutor(max_workers=8) as pool:
         rounds = [list(pool.map(job, FORMULAS * 8)) for _ in range(3)]
     assert rounds[0] == rounds[1] == rounds[2]
+
+
+def test_concurrent_orthogonals_of_one_space():
+    # threads fill one space's orthogonal memo at once, in different
+    # orders, with a switch after almost every bytecode
+    n = 5
+    tables = enumerate_commutative_monoids(n)
+    space = space_from_table(tables[-1], n, 0b10110)
+    masks = list(range(1 << n))
+    want = [kernels.phase_orthogonal(space._table, n, space._pole_mask, m)
+            for m in masks]
+
+    def job(seed):
+        order = masks * 4
+        random.Random(seed).shuffle(order)
+        return all(space.orthogonal_mask(m) == want[m] for m in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(job, range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 16
+    assert space._orthogonals == dict(zip(masks, want))
 
 
 def test_concurrent_totality_on_shared_spaces():

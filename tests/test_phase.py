@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from oracles import brute_commutative_monoid_count, powerset
+from mullsem import _kernels as kernels
 from mullsem import phase
 from mullsem.errors import (FileFormatError, IterationBudgetExceeded,
                             UnboundVariable, VarianceError)
@@ -175,7 +176,7 @@ class TestSearch:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            search_counter_model(parse("1"), 6)
+            search_counter_model(parse("1"), 7)
 
     def test_free_variables_checked_once_per_search(self, monkeypatch):
         calls = []
@@ -266,7 +267,7 @@ class TestEnumeration:
     def test_frozen_counts(self):
         # OEIS A058131: commutative monoids of order n up to isomorphism
         assert [len(enumerate_commutative_monoids(n))
-                for n in (1, 2, 3, 4, 5)] == [1, 2, 5, 19, 78]
+                for n in (1, 2, 3, 4, 5, 6)] == [1, 2, 5, 19, 78, 421]
 
     def test_tables_match_reference(self):
         for n in range(6):
@@ -277,6 +278,24 @@ class TestEnumeration:
         for n in (1, 2, 3, 4, 5):
             for flat in enumerate_commutative_monoids(n):
                 space_from_table(flat, n, 0)  # ValueError when laws fail
+
+    def test_order_6_tables_are_minimal_and_increasing(self):
+        # beyond the reference's reach: each table is checked against
+        # all 120 relabellings fixing the unit, by brute force
+        n = 6
+        tables = enumerate_commutative_monoids(n)
+        assert len(tables) == 421
+        assert all(a < b for a, b in zip(tables, tables[1:]))
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for flat in tables:
+            space_from_table(flat, n, 0)  # ValueError when laws fail
+            for perm in permutations(range(1, n)):
+                position = (0,) + perm
+                relabelled = [0] * (n * n)
+                for i, j in cells:
+                    relabelled[position[i] * n + position[j]] = \
+                        position[flat[i * n + j]]
+                assert tuple(relabelled) >= flat, (flat, position)
 
     def test_pole_variants_match_checked_spaces(self):
         # enumerate_spaces checks each table once and shares it between
@@ -292,6 +311,31 @@ class TestEnumeration:
             assert repr(got) == repr(want)
             assert [holds(got, f) for f in formulas] == \
                 [holds(want, f) for f in formulas], want
+
+
+class TestOrthogonalMemo:
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_memo_matches_the_kernel(self, monkeypatch, descending):
+        # each space computes the orthogonal of a mask once, whatever
+        # the order in which the masks are asked
+        calls = []
+        original = kernels.phase_orthogonal
+        monkeypatch.setattr(kernels, "phase_orthogonal",
+                            lambda *args: calls.append(args) or
+                            original(*args))
+        spaces = 0
+        for space in enumerate_spaces(4):
+            spaces += 1
+            n = space.size
+            masks = list(range(1 << n))
+            if descending:
+                masks.reverse()
+            before = len(calls)
+            for mask in (*masks, *masks):
+                assert space.orthogonal_mask(mask) == original(
+                    space._table, n, space._pole_mask, mask), (space, mask)
+            assert len(calls) - before == 1 << n, space
+        assert spaces == 354
 
 
 class TestFileFormat:
@@ -370,6 +414,18 @@ class TestExponentials:
             for text in ("!top", "?0", "!(1 + 0)", "?(1 & top)"):
                 assert interpret_phase(variant, parse(text)) == \
                     interpret_phase(checked, parse(text)), (mask, text)
+        # the orthogonals depend on the pole too: a variant answers from
+        # its own memo, never from that of the space it came from, even
+        # when the pole is the same
+        source = space_from_table(table, 2, 0)
+        source._orthogonals.update(dict.fromkeys(range(4), -1))
+        for pole in range(4):
+            variant = source._with_pole(pole)
+            for mask in range(4):
+                assert variant.orthogonal_mask(mask) == \
+                    kernels.phase_orthogonal(table, 2, pole, mask)
+            assert -1 not in variant._orthogonals.values()
+        assert source._orthogonals == dict.fromkeys(range(4), -1)
 
     def test_bang_under_fixpoint(self):
         assert interpret_phase(SIGN, parse("mu x. !x")) == set()

@@ -427,6 +427,13 @@ class TestPointsAndDepth:
         assert fold_depth(numeral(0)) == 1
         assert fold_depth(numeral(3)) == 4
         assert fold_depth(Bag((numeral(1), numeral(2)))) == 3
+        assert fold_depth(Pair(numeral(2), Bag((numeral(0),)))) == 3
+
+    def test_fold_depth_of_a_deep_element(self):
+        # chains of Fold, InL and InR take no stack frame per constructor
+        deep = numeral(5000)
+        assert fold_depth(deep) == 5001
+        assert fold_depth(Pair(Bag((numeral(1),)), InL(deep))) == 5001
 
     def test_enumeration_stable(self):
         c = interpret_carrier(parse("mu x. 1 + x"), budgets=Budgets(depth=4))
