@@ -24,6 +24,7 @@ _EXPORTS = {
                 "check_variance", "free_vars", "nnf", "parse", "substitute",
                 "to_text"),
     "lattice": ("FiniteLattice", "MonotoneOp", "gfp", "lfp"),
+    "newton": ("CertifiedResult", "certified_fixpoint"),
     "phase": ("PhaseSpace", "fact_closure", "holds", "interpret_phase",
               "parse_phase_space", "search_counter_model"),
     "relmodel": ("Carrier", "Elem", "Relation", "compose_rel",

@@ -227,14 +227,24 @@ def cmd_fix(args):
         raise FileFormatError("--tol must be positive and finite")
     if args.max_iter <= 0:
         raise FileFormatError("--max-iter must be positive")
-    result = wrel.kleene_fixpoint(expr, tol, args.max_iter, args.mode)
+    if args.mode == "exact":
+        result = wrel.kleene_fixpoint(expr, tol, args.max_iter, "exact")
+    else:
+        from .newton import certified_fixpoint
+        result = certified_fixpoint(expr, tol, args.max_iter)
+    report = result.to_dict()
     payload = {"command": "fix", "expr": args.expr,
                "tolerance": str(args.tol), "max_iter": args.max_iter,
-               **result.to_dict()}
-    lines = [f"{n} = {v}" for n, v in sorted(result.to_dict()["value"].items())]
-    lines.append(f"residual: {result.to_dict()['residual']} "
+               **report}
+    lines = [f"{n} = {v}" for n, v in sorted(report["value"].items())]
+    lines.append(f"residual: {report['residual']} "
                  f"(tol {args.tol}, {result.iterations} iterations, "
                  f"mode {result.mode})")
+    if args.mode == "float" and result.certified:
+        lines += [f"certified: {n} in [{lo}, {report['upper'][n]}]"
+                  for n, lo in report["lower"].items()]
+    elif args.mode == "float":
+        lines.append("not certified: Kleene iteration from 0")
     return _emit(args, payload, lines)
 
 

@@ -518,6 +518,10 @@ def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
     """Check the uniformity square for the dagger: h . f = g . h on samples,
     then h(fixpoint(f)) = fixpoint(g) within tol.
 
+    Float mode takes each fixpoint from certified_fixpoint (the midpoint
+    of its bracket, or Kleene iteration's value where it certifies
+    none); exact mode from kleene_fixpoint.
+
     Raises PreconditionFailed when the square already fails on samples.
     """
     if not f.is_endo() or not g.is_endo():
@@ -537,8 +541,13 @@ def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
             if delta > tolerance:
                 raise PreconditionFailed(
                     f"h.f = g.h fails at {point} on {n!r} (delta {delta})")
-    fdag = kleene_fixpoint(f, tol, max_iter, mode)
-    gdag = kleene_fixpoint(g, tol, max_iter, mode)
+    if mode == "float":
+        from .newton import certified_fixpoint
+        fdag = certified_fixpoint(f, tol, max_iter)
+        gdag = certified_fixpoint(g, tol, max_iter)
+    else:
+        fdag = kleene_fixpoint(f, tol, max_iter, mode)
+        gdag = kleene_fixpoint(g, tol, max_iter, mode)
     mapped = h.eval(fdag.values, sr)
     gap = max((abs(_as_number(mapped[n]) - _as_number(gdag.values[n]))
                for n in h.output_names()), default=0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,38 @@ class TestFix:
         assert out == ""
         assert err.startswith("error: iteration 17: ")
         assert "65536 bits" in err
+
+    def test_critical_system_is_certified(self, capsys, tmp_path):
+        # Kleene iteration is sublinear here and exhausts --max-iter
+        expr = tmp_path / "critical.fx"
+        expr.write_text("x: 1/2 + 1/2 * x * x\n")
+        code, data, _ = run_json(capsys, "fix", "--expr", str(expr),
+                                 "--tol", "1e-9")
+        assert code == 0
+        assert data["certified"] is True and data["stabilized"] is True
+        lower, upper = Fraction(data["lower"]["x"]), Fraction(data["upper"]["x"])
+        assert 0 <= upper - lower <= 1e-9
+        assert upper == 1
+        assert data["iterations"] <= 64
+        assert abs(float(data["value"]["x"]) - 1) <= 1e-9
+
+    def test_divergent_map_is_not_certified(self, capsys, tmp_path):
+        expr = tmp_path / "divergent.fx"
+        expr.write_text("x: 1 + 2 * x\n")
+        code, data, _ = run_json(capsys, "fix", "--expr", str(expr))
+        assert code == 0
+        assert data["value"] == {"x": "inf"}
+        assert data["certified"] is False and data["upper"] is None
+
+    def test_exact_mode_keeps_its_fields(self, capsys, tmp_path):
+        expr = tmp_path / "halving.fx"
+        expr.write_text("x: 1/2 + 1/2 * x\n")
+        code, data, _ = run_json(capsys, "fix", "--expr", str(expr),
+                                 "--mode", "exact")
+        assert code == 0
+        assert list(data) == ["command", "expr", "tolerance", "max_iter",
+                              "value", "residual", "iterations",
+                              "stabilized", "mode"]
 
     def test_bad_tolerance(self, capsys, tmp_path):
         expr = tmp_path / "walk.fx"

@@ -88,7 +88,7 @@ def _cli_modules(*argv):
     (["interp", "--model", "rel", "--depth", "2", "mu x. 1 + x"],
      {"formula", "relmodel"}, {"totality", "phase", "wrel"}),
     (["admissible", "--pole", "nat"], {"wrel"},
-     {"formula", "relmodel", "totality", "phase"}),
+     {"formula", "relmodel", "totality", "phase", "newton"}),
 ])
 def test_each_command_imports_only_its_model(argv, needed, unused):
     loaded = _cli_modules(*argv)

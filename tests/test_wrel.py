@@ -10,6 +10,8 @@ from mullsem.errors import (BudgetExceeded, DimensionCap, EmptyGenerators,
 from mullsem.relmodel import Carrier, Relation, compose_rel
 from mullsem.semiring import (BOOL, INF, NINF, RFLOAT, RINF,
                               check_semiring_laws)
+from mullsem.newton import (NEWTON_DIMENSION_CAP, CertifiedResult,
+                            certified_fixpoint)
 from mullsem.wrel import (ChainCounterexample, DownsetClosed, FunExpr,
                           KleeneResult, PoleSpec, SAdd, SConst, SCoord, SMul,
                           SemiringMatrix, Verdict, bipolar_member,
@@ -281,6 +283,162 @@ class TestUniformity:
         g = linear_map(F(1, 2), F(1, 2), "y")
         with pytest.raises(PreconditionFailed):
             check_uniformity(h, f, g, 1e-9)
+
+
+# the coefficient sets of the cli-batch `fix` inputs
+FIX_A = ("1/4", "1/3", "1/2", "2/3", "1", "3/2")
+FIX_B = ("1/4", "1/3", "2/5", "1/2")
+FIX_P = ("1/4", "1/5", "1/3")
+FIX_Q = ("1/4", "1/3", "1/2")
+FIX_C = ("1/5", "1/3", "1/2", "1")
+FIX_D = ("1/4", "1/3", "1/2")
+
+
+def fix_cases():
+    """(text, decide) for every float `fix` input of the cli-batch
+    workload, plus critical systems; decide(v) maps each coordinate to
+    -1, 0 or 1 as v lies below, at or above the least fixpoint there,
+    decided exactly."""
+    cases = []
+
+    def exact(lfp):
+        return lambda v: {n: (v[n] > w) - (v[n] < w) for n, w in lfp.items()}
+
+    def quadratic(p, q):
+        # the lfp is the smaller root of g(x) = q x^2 - x + p, which lies
+        # below the vertex 1/(2q); left of the vertex g falls
+        def decide(v):
+            x = v["x"]
+            g = q * x * x - x + p
+            below = x <= 1 / (2 * q) and g >= 0
+            above = x >= 1 / (2 * q) or g <= 0
+            return {"x": above - below}
+        return decide
+
+    for a, b in iproduct(FIX_A, FIX_B):
+        cases.append((f"x: {a} + {b} * x", exact({"x": F(a) / (1 - F(b))})))
+    for p, q in iproduct(FIX_P, FIX_Q):
+        cases.append((f"x: {p} + {q} * x * x", quadratic(F(p), F(q))))
+    for a, b, c, d in iproduct(FIX_A, FIX_B, FIX_C, FIX_D):
+        x = (F(a) + F(b) * F(c)) / (1 - F(b) * F(d))
+        cases.append((f"x: {a} + {b} * y\ny: {c} + {d} * x",
+                      exact({"x": x, "y": F(c) + F(d) * x})))
+    rng = random.Random(16)
+    qs = {F(1, 2), F(1, 4), F(3), F(1, 1000)} | {
+        F(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(12)}
+    for q in sorted(qs):
+        cases.append((f"x: {1 / (4 * q)} + {q} * x * x",
+                      exact({"x": 1 / (2 * q)})))
+    cases.append(("x: 1/2 + 1/2 * y * y\ny: x", exact({"x": F(1), "y": F(1)})))
+    cycle = [f"x{i}: 1/2 + 1/2 * x{(i + 1) % 8} * x{(i + 1) % 8}"
+             for i in range(8)]
+    cases.append(("\n".join(cycle), exact({f"x{i}": F(1) for i in range(8)})))
+    cases.append(("x: 2/3", exact({"x": F(2, 3)})))
+    return cases
+
+
+FIX_CASES = fix_cases()
+
+
+class TestCertifiedFixpoint:
+    @pytest.mark.parametrize("text,decide", FIX_CASES, ids=[
+        text.replace("\n", "; ") for text, _ in FIX_CASES])
+    def test_bracket_holds_the_least_fixpoint(self, text, decide):
+        out = certified_fixpoint(parse_funexpr(text), 1e-9)
+        assert out.certified and out.stabilized
+        assert all(isinstance(v, F) for v in [*out.lower.values(),
+                                              *out.upper.values()])
+        assert all(side <= 0 for side in decide(out.lower).values())
+        assert all(side >= 0 for side in decide(out.upper).values())
+        assert all(0 <= out.upper[n] - out.lower[n] <= 1e-9
+                   for n in out.lower)
+        assert out.residual <= 1e-9
+        # the value is the float nearest the midpoint
+        assert all(abs(F(v) - out.lower[n]) <= 1e-9 and
+                   abs(F(v) - out.upper[n]) <= 1e-9
+                   for n, v in out.values.items())
+        assert out.iterations <= 64
+
+    def test_critical_system_in_thirty_steps(self):
+        out = certified_fixpoint(parse_funexpr("x: 1/2 + 1/2 * x * x"), 1e-9)
+        assert out.iterations == 30
+        assert out.lower == {"x": 1 - F(1, 2 ** 30)}
+        assert out.upper == {"x": 1}
+
+    @pytest.mark.parametrize("text", [
+        "x: 1 + 2 * x",
+        "x: 1/4 + 3/2 * x + x * x",
+    ])
+    def test_uncertifiable_step_leaves_kleene_unchanged(self, text):
+        # the first Newton step would need a negative inverse, so Kleene
+        # iteration runs on the whole budget and answers as it always did
+        f = parse_funexpr(text)
+        out = certified_fixpoint(f, 1e-9)
+        assert not out.certified and out.upper is None
+        assert out.lower == {n: 0 for n in f.inputs}
+        kleene = kleene_fixpoint(f, 1e-9)
+        assert (out.values, out.residual, out.iterations, out.stabilized) \
+            == (kleene.values, kleene.residual, kleene.iterations,
+                kleene.stabilized)
+        assert out.values["x"] == float("inf")
+
+    def test_fallback_keeps_the_newton_lower_bound(self):
+        # one certified step reaches x = 1, where f'(1) = 2; the least
+        # fixpoint of x = 1 + x^2 is infinite
+        out = certified_fixpoint(parse_funexpr("x: 1 + x * x"), 1e-9)
+        assert not out.certified
+        assert out.lower == {"x": 1}
+        assert out.values["x"] == float("inf")
+
+    def test_irrational_critical_point_goes_to_kleene(self):
+        # f(x) - x = (x^2 + 2x - 1)^2 / 4, so the lfp sqrt(2) - 1 is a
+        # double root and f(u) > u at every other point: no rational
+        # upper bound exists, and the rounded Newton steps stall below it
+        f = parse_funexpr("x: 1/4 + 1/2*x*x + x*x*x + 1/4*x*x*x*x")
+        out = certified_fixpoint(f, 1e-6)
+        assert not out.certified
+        lower = out.lower["x"]
+        assert (lower + 1) ** 2 <= 2 <= (lower + 1 + F(1, 2 ** 40)) ** 2
+        newton_steps = out.iterations - kleene_fixpoint(f, 1e-6).iterations
+        assert 0 < newton_steps <= 100
+
+    def test_budget_exhaustion_carries_the_lower_bound(self):
+        with pytest.raises(BudgetExceeded) as info:
+            certified_fixpoint(parse_funexpr("x: 1/2 + 1/2 * x * x"), 1e-9,
+                               max_iter=5)
+        assert "residual" in str(info.value)
+        res = info.value.result
+        assert isinstance(res, CertifiedResult)
+        assert not res.certified and not res.stabilized
+        assert res.iterations == 5
+        assert res.lower == {"x": 1 - F(1, 2 ** 5)}
+
+    def test_wide_systems_go_to_kleene(self):
+        names = [f"x{i}" for i in range(NEWTON_DIMENSION_CAP + 1)]
+        f = parse_funexpr("".join(f"{n}: 1/4 + 1/2 * {n}\n" for n in names))
+        out = certified_fixpoint(f, 1e-9)
+        assert not out.certified
+        assert out.iterations == kleene_fixpoint(f, 1e-9).iterations
+
+    def test_float_constants_are_exact(self):
+        f = FunExpr.from_exprs([("x", SAdd(SConst(0.5),
+                                           SMul(SConst(0.5), SCoord("x"))))])
+        out = certified_fixpoint(f, 1e-9)
+        assert out.certified and out.upper == {"x": 1}
+
+    def test_bracket_past_the_largest_float(self):
+        big = 10 ** 400
+        out = certified_fixpoint(parse_funexpr(f"x: {big} + 1/2 * x"), 1e-9)
+        assert out.upper == {"x": 2 * big}
+        assert out.values == {"x": float("inf")}
+
+    def test_uniformity_of_critical_maps(self):
+        # h . f = g . h for h(x) = 2x; the lfps are 1 and 2, both critical,
+        # which Kleene iteration does not reach within its budget
+        h = FunExpr(("x",), (("y", SMul(SConst(F(2)), SCoord("x"))),))
+        f = parse_funexpr("x: 1/2 + 1/2*x*x")
+        g = parse_funexpr("y: 1 + 1/4*y*y")
+        assert check_uniformity(h, f, g, 1e-9)
 
 
 class TestAdmissibility:
