@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 DEFAULT_DEPTH = 4        # fixpoint unrolling depth k
 DEFAULT_BAG = 2          # maximal multiset size m for ! and ?
@@ -10,18 +10,16 @@ DEFAULT_CARRIER_CAP = 20000
 DEFAULT_ITER_CAP = 10000
 
 
-@dataclass(frozen=True)
-class Budgets:
-    depth: int = DEFAULT_DEPTH
-    bag: int = DEFAULT_BAG
-    carrier_cap: int = DEFAULT_CARRIER_CAP
-    iter_cap: int = DEFAULT_ITER_CAP
+class Budgets(Record):
+    __slots__ = __match_args__ = ("depth", "bag", "carrier_cap", "iter_cap")
 
-    def __post_init__(self):
-        if self.depth < 0 or self.bag < 0:
+    def __init__(self, depth=DEFAULT_DEPTH, bag=DEFAULT_BAG,
+                 carrier_cap=DEFAULT_CARRIER_CAP, iter_cap=DEFAULT_ITER_CAP):
+        if depth < 0 or bag < 0:
             raise ValueError("budgets must be non-negative")
-        if self.carrier_cap <= 0 or self.iter_cap <= 0:
+        if carrier_cap <= 0 or iter_cap <= 0:
             raise ValueError("caps must be positive")
+        super().__init__(depth, bag, carrier_cap, iter_cap)
 
 
 DEFAULT_BUDGETS = Budgets()

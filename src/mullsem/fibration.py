@@ -10,17 +10,13 @@ meet this module through the same contracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LatticeError, NotInvertible, NotSupported
 from .lattice import FiniteLattice, MonotoneOp, gfp, lfp
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Morphism:
-    name: str
-    dom: str
-    cod: str
+class Morphism(Record):
+    __slots__ = __match_args__ = ("name", "dom", "cod")
 
     def __repr__(self):
         return f"{self.name}: {self.dom} -> {self.cod}"
@@ -101,13 +97,11 @@ class FinCategory:
         raise NotInvertible(f"{f!r} has no two-sided inverse")
 
 
-@dataclass(frozen=True)
-class Endofunctor:
-    """Object and morphism maps of an endofunctor on a FinCategory."""
+class Endofunctor(Record):
+    """Object and morphism maps of an endofunctor on a FinCategory;
+    ``on_morphisms`` maps morphism names to morphism names."""
 
-    category: FinCategory
-    on_objects: dict
-    on_morphisms: dict  # morphism name -> morphism name
+    __slots__ = __match_args__ = ("category", "on_objects", "on_morphisms")
 
     def obj(self, c):
         return self.on_objects[c]

@@ -16,10 +16,10 @@ Same-level infix operators associate to the left and may be mixed, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParseError, UnboundVariable, VarianceError
+from .record import Record
 
 
 class Sort(Enum):
@@ -37,7 +37,7 @@ POS = Sort.POS
 NEG = Sort.NEG
 
 
-class Formula:
+class Formula(Record):
     """Base class of the formula tree; instances are immutable."""
 
     __slots__ = ()
@@ -46,86 +46,64 @@ class Formula:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
 class One(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Zero(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class OfCourse(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class WhyNot(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class Tensor(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Par(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Plus(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class With(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Lolli(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Mu(Formula):
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class Nu(Formula):
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
 
 
 ONE = One()

@@ -8,13 +8,12 @@ the commands that need no fixpoint do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, IndexMismatch
 from .semiring import RINF
 from .wrel import (FunExpr, KleeneResult, SAdd, SConst, SCoord, SMul,
-                   ScalarExpr, eval_scalar, kleene_fixpoint)
+                   ScalarExpr, _float, eval_scalar, kleene_fixpoint)
 
 # bits after the binary point of a Newton iterate, at least; a tolerance
 # finer than 2^-32 adds its own bits
@@ -24,7 +23,6 @@ NEWTON_BITS = 64
 NEWTON_DIMENSION_CAP = 8
 
 
-@dataclass(frozen=True)
 class CertifiedResult(KleeneResult):
     """A fixpoint answer with the bracket it proves.
 
@@ -34,8 +32,8 @@ class CertifiedResult(KleeneResult):
     ``residual`` its width.
     """
 
-    lower: dict
-    upper: dict | None
+    __slots__ = ("lower", "upper")
+    __match_args__ = KleeneResult.__match_args__ + __slots__
 
     @property
     def certified(self) -> bool:
@@ -141,14 +139,6 @@ def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
     return CertifiedResult(kleene.values, kleene.residual,
                            steps + kleene.iterations, kleene.stabilized,
                            "float", lower, None)
-
-
-def _float(v: Fraction) -> float:
-    """The float nearest v; inf past the largest float."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf
 
 
 def _exact(expr: ScalarExpr):

@@ -9,7 +9,6 @@ of the fold-reindexed body operator on the family lattice.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations_with_replacement, product as iproduct
 
 from . import _kernels as kernels
@@ -353,7 +352,8 @@ def _fix(budgets, node, env):
         return TotalitySpace(space.carrier, space.family,
                              space.stabilized and space.carrier.stabilized)
     bound = budgets.depth - 1
-    prev = _fix_at(_FAMILIES, replace(budgets, depth=bound), node, env)
+    prev = _fix_at(_FAMILIES, Budgets(bound, budgets.bag, budgets.carrier_cap,
+                                      budgets.iter_cap), node, env)
     stable = space.stabilized and (restrict_antichain(space.family, bound)
                                    == restrict_antichain(prev.family, bound))
     return TotalitySpace(space.carrier, space.family, stable)

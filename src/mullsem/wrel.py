@@ -8,13 +8,13 @@ unbounded directions handled by support analysis instead of numerics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import (BudgetExceeded, DimensionCap, EmptyGenerators,
                      FileFormatError, IndexMismatch, PreconditionFailed)
+from .record import Record
 from .semiring import BOOL, INF, NINF, RFLOAT, RINF, Semiring
 from .simplex import OPTIMAL, UNBOUNDED, simplex_maximize
 
@@ -157,38 +157,31 @@ class Verdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class DownsetClosed:
+class DownsetClosed(Record):
     """Closure evidence: the pole is { v : v <= top }, closed under suprema."""
 
-    top: object
+    __slots__ = __match_args__ = ("top",)
 
 
-@dataclass(frozen=True)
-class ChainCounterexample:
+class ChainCounterexample(Record):
     """An ascending chain inside the pole whose supremum escapes it."""
 
-    chain: tuple
-    sup: object
+    __slots__ = __match_args__ = ("chain", "sup")
 
 
-@dataclass(frozen=True)
-class PoleSpec:
-    name: str
-    semiring: Semiring
-    member: object  # predicate on scalars
-    evidence: object = None
+class PoleSpec(Record):
+    # member is a predicate on scalars
+    __slots__ = __match_args__ = ("name", "semiring", "member", "evidence")
+    _defaults = {"evidence": None}
 
     def contains_zero(self) -> bool:
         return bool(self.member(self.semiring.zero))
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    verdict: Verdict
-    reason: str
-    witness_chain: tuple = ()
-    witness_sup: object = None
+class AdmissibilityReport(Record):
+    __slots__ = __match_args__ = ("verdict", "reason", "witness_chain",
+                                  "witness_sup")
+    _defaults = {"witness_chain": (), "witness_sup": None}
 
     def to_dict(self, semiring=None):
         to_str = semiring.to_str if semiring else str
@@ -326,37 +319,31 @@ def bipolar_member_matrix(generators: SemiringMatrix, x: SemiringMatrix,
 # ---------------------------------------------------------------------------
 # function expressions and the uniform fixpoint operator
 
-class ScalarExpr:
+class ScalarExpr(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class SConst(ScalarExpr):
-    value: object
+    __slots__ = __match_args__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
 class SCoord(ScalarExpr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class SAdd(ScalarExpr):
-    left: ScalarExpr
-    right: ScalarExpr
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class SMul(ScalarExpr):
-    left: ScalarExpr
-    right: ScalarExpr
+    __slots__ = __match_args__ = ("left", "right")
 
 
 def eval_scalar(expr: ScalarExpr, point: dict, sr: Semiring):
     match expr:
         case SConst(v):
             if sr is RFLOAT and isinstance(v, Fraction):
-                return float(v)
+                return _float(v)
             return v
         case SCoord(name):
             return point[name]
@@ -365,6 +352,14 @@ def eval_scalar(expr: ScalarExpr, point: dict, sr: Semiring):
         case SMul(a, b):
             return sr.mul(eval_scalar(a, point, sr), eval_scalar(b, point, sr))
     raise TypeError(f"not a scalar expression: {expr!r}")
+
+
+def _float(v: Fraction) -> float:
+    """The float nearest v; inf past the largest float."""
+    try:
+        return float(v)
+    except OverflowError:
+        return float("inf")
 
 
 def subst_scalar(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
@@ -380,16 +375,15 @@ def subst_scalar(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
     raise TypeError(f"not a scalar expression: {expr!r}")
 
 
-@dataclass(frozen=True)
-class FunExpr:
+class FunExpr(Record):
     """A map between finite coordinate sets, one scalar expression per output.
 
-    Built from constants, +, * and composition, so every instance is a
-    monotone continuous self-map when inputs and outputs coincide.
+    ``outputs`` holds pairs (name, ScalarExpr).  Built from constants, +,
+    * and composition, so every instance is a monotone continuous
+    self-map when inputs and outputs coincide.
     """
 
-    inputs: tuple
-    outputs: tuple  # pairs (name, ScalarExpr)
+    __slots__ = __match_args__ = ("inputs", "outputs")
 
     def output_names(self):
         return tuple(n for n, _ in self.outputs)
@@ -418,13 +412,9 @@ class FunExpr:
         return cls(names, pairs)
 
 
-@dataclass(frozen=True)
-class KleeneResult:
-    values: dict
-    residual: object
-    iterations: int
-    stabilized: bool
-    mode: str
+class KleeneResult(Record):
+    __slots__ = __match_args__ = ("values", "residual", "iterations",
+                                  "stabilized", "mode")
 
     def to_dict(self):
         return {
@@ -618,6 +608,7 @@ def render_matrix(mat: SemiringMatrix) -> str:
 
 def parse_funexpr(text: str) -> FunExpr:
     pairs = []
+    used = {}  # coordinates the expressions read, in order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -628,35 +619,41 @@ def parse_funexpr(text: str) -> FunExpr:
         name = name.strip()
         if not name.isidentifier():
             raise FileFormatError(f"line {lineno}: bad coordinate name {name!r}")
-        pairs.append((name, _parse_scalar(body, lineno)))
+        pairs.append((name, _parse_scalar(body, lineno, used)))
     if not pairs:
         raise FileFormatError("empty expression file")
     names = [n for n, _ in pairs]
     if len(set(names)) != len(names):
         raise FileFormatError("duplicate coordinate names")
-    expr = FunExpr.from_exprs(pairs)
-    known = set(names)
-    for _, e in pairs:
-        for used in _coords_of(e):
-            if used not in known:
-                raise FileFormatError(f"unknown coordinate {used!r}")
-    return expr
+    for coord in used:
+        if coord not in names:
+            raise FileFormatError(f"unknown coordinate {coord!r}")
+    return FunExpr.from_exprs(pairs)
 
 
-def _coords_of(expr):
-    match expr:
-        case SConst(_):
-            return set()
-        case SCoord(name):
-            return {name}
-        case SAdd(a, b) | SMul(a, b):
-            return _coords_of(a) | _coords_of(b)
-    return set()
+# Deepest expression a .fx line may hold, within Python's recursion limit:
+# the walks over scalar expressions recurse once per level (composition
+# adds heights, a derivative doubles them), the parser thrice per "(".
+MAX_SCALAR_HEIGHT = 100
 
 
-def _parse_scalar(src: str, lineno: int) -> ScalarExpr:
+def _parse_scalar(src: str, lineno: int, used: dict) -> ScalarExpr:
     tokens = _scal_tokens(src, lineno)
     pos = [0]
+    depth = [0]  # open parentheses
+    height = {}  # id of each built node (all alive until the end) -> height
+
+    def checked(level):
+        if level > MAX_SCALAR_HEIGHT:
+            raise FileFormatError(f"line {lineno}: expression nested deeper "
+                                  f"than {MAX_SCALAR_HEIGHT} levels")
+        return level
+
+    def build(ctor, left, right):
+        made = ctor(left, right)
+        height[id(made)] = checked(1 + max(height.get(id(left), 0),
+                                           height.get(id(right), 0)))
+        return made
 
     def peek():
         return tokens[pos[0]] if pos[0] < len(tokens) else None
@@ -670,14 +667,14 @@ def _parse_scalar(src: str, lineno: int) -> ScalarExpr:
         node = term()
         while peek() == "+":
             take()
-            node = SAdd(node, term())
+            node = build(SAdd, node, term())
         return node
 
     def term():
         node = factor()
         while peek() == "*":
             take()
-            node = SMul(node, factor())
+            node = build(SMul, node, factor())
         return node
 
     def factor():
@@ -685,13 +682,16 @@ def _parse_scalar(src: str, lineno: int) -> ScalarExpr:
         if tok is None:
             raise FileFormatError(f"line {lineno}: unexpected end of expression")
         if tok == "(":
+            depth[0] = checked(depth[0] + 1)
             node = expr()
+            depth[0] -= 1
             if take() != ")":
                 raise FileFormatError(f"line {lineno}: missing ')'")
             return node
         if isinstance(tok, Fraction):
             return SConst(tok)
         if isinstance(tok, str) and tok.isidentifier():
+            used[tok] = None
             return SCoord(tok)
         raise FileFormatError(f"line {lineno}: unexpected token {tok!r}")
 

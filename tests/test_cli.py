@@ -37,6 +37,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+def run_child(*argv):
+    """A ``python -m mullsem --format machine`` child: the default stack,
+    no pytest frames below it, and any traceback on its stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-m", "mullsem", "--format",
+                           "machine", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 class TestVariance:
     def test_positive(self, capsys):
         code, data, _ = run_json(capsys, "variance", "mu x. 1 + x")
@@ -94,16 +105,9 @@ class TestInterp:
 
     def test_deep_totality_answer_is_not_a_traceback(self):
         # the stabilization check reads the fold depth of elements 600
-        # Folds deep; a child process has the default stack and no
-        # pytest frames below it
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
-                                   if env.get("PYTHONPATH") else "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "mullsem", "--format", "machine",
-             "interp", "--model", "totality", "--depth", "600",
-             "mu x. 1 + x"],
-            capture_output=True, text=True, env=env, timeout=120)
+        # Folds deep
+        proc = run_child("interp", "--model", "totality", "--depth", "600",
+                         "mu x. 1 + x")
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         data = json.loads(proc.stdout)
@@ -261,6 +265,40 @@ class TestFix:
         expr.write_text(WALK)
         code, _, err = run(capsys, "fix", "--expr", str(expr), "--tol", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "x: 1/4 + " + " + ".join(["1/10000 * x"] * 2999),
+        "x: 1/4 + x" + " * x" * 2999,
+        "x: " + "(" * 400 + "x" + ")" * 400,
+    ], ids=["sum", "product", "parentheses"])
+    def test_deep_expression_is_input_error(self, tmp_path, text):
+        # the walks over scalar expressions recurse once per level
+        expr = tmp_path / "deep.fx"
+        expr.write_text("y: 1/2\n" + text + "\n")
+        proc = run_child("fix", "--expr", str(expr))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("input error: line 2: expression nested "
+                               "deeper than 100 levels\n")
+
+    def test_expression_at_the_height_cap_answers(self, tmp_path):
+        expr = tmp_path / "wide.fx"
+        expr.write_text("x: 1/4 + " + " + ".join(["1/10000 * x"] * 99) + "\n")
+        proc = run_child("fix", "--expr", str(expr))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["upper"] == {"x": "2500/9901"}
+
+    def test_constant_past_the_largest_float_reads_inf(self, tmp_path):
+        # Kleene iteration answers here, since the map has no finite
+        # least fixpoint to certify
+        expr = tmp_path / "huge.fx"
+        expr.write_text("x: 1" + "0" * 400 + " + 2 * x\n")
+        proc = run_child("fix", "--expr", str(expr))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["value"] == {"x": "inf"}
+        assert data["certified"] is False
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])

@@ -72,25 +72,34 @@ def test_unknown_name_raises_attribute_error():
 
 
 def _cli_modules(*argv):
-    """mullsem modules a ``python -m mullsem --format machine`` child loads,
-    read from the interpreter's verbose import log."""
+    """Modules a ``python -m mullsem --format machine`` child loads, read
+    from the interpreter's verbose import log; the package's own without
+    their ``mullsem.`` prefix."""
     proc = subprocess.run([sys.executable, "-v", "-m", "mullsem", "--format",
                            "machine", *argv], capture_output=True, text=True,
                           env=_env(), check=True, timeout=60)
     json.loads(proc.stdout)  # the command answered
-    return set(re.findall(r"^import 'mullsem\.(\w+)'", proc.stderr,
-                          re.MULTILINE))
+    return {name.removeprefix("mullsem.") for name in
+            re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)}
 
 
+# dataclasses (with inspect behind it) costs a CLI child several
+# milliseconds; only relmodel's element classes still need it
 @pytest.mark.parametrize("argv,needed,unused", [
     (["variance", "mu x. 1 + x"], {"formula"},
-     {"relmodel", "totality", "phase", "wrel"}),
+     {"relmodel", "totality", "phase", "wrel", "dataclasses"}),
     (["interp", "--model", "rel", "--depth", "2", "mu x. 1 + x"],
      {"formula", "relmodel"}, {"totality", "phase", "wrel"}),
+    (["phase-search", "--max-size", "3", "1 -o 1"], {"formula", "phase"},
+     {"relmodel", "totality", "wrel", "dataclasses"}),
+    (["fix", "--expr", "{walk}"], {"wrel", "newton"},
+     {"formula", "relmodel", "totality", "phase", "dataclasses"}),
     (["admissible", "--pole", "nat"], {"wrel"},
-     {"formula", "relmodel", "totality", "phase", "newton"}),
+     {"formula", "relmodel", "totality", "phase", "newton", "dataclasses"}),
 ])
-def test_each_command_imports_only_its_model(argv, needed, unused):
-    loaded = _cli_modules(*argv)
+def test_each_command_imports_only_its_model(argv, needed, unused, tmp_path):
+    walk = tmp_path / "walk.fx"
+    walk.write_text("x: 1/4 + 3/4 * x * x\n")
+    loaded = _cli_modules(*(arg.format(walk=walk) for arg in argv))
     assert needed <= loaded
     assert not loaded & unused

@@ -503,6 +503,9 @@ class TestFileFormats:
             parse_funexpr("x: 1 +\n")
         with pytest.raises(FileFormatError):
             parse_funexpr("x: y + 1\n")
+        # the first unknown coordinate in reading order is named
+        with pytest.raises(FileFormatError, match="unknown coordinate 'z'"):
+            parse_funexpr("x: y * z + w\ny: (w + z) * 1\n")
         with pytest.raises(FileFormatError):
             parse_funexpr("")
         with pytest.raises(FileFormatError):
