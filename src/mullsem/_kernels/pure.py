@@ -48,25 +48,33 @@ def minimal_transversals(masks, nbits):
     return tuple(sorted(trs))
 
 
-def phase_orthogonal(table, n, pole_mask, x_mask):
-    """{ y | forall i in x: product(i, y) in pole }, all sets as bitmasks.
+def phase_orthogonal(table, n, pole_words, x, width):
+    """The orthogonal of a bit-sliced fact under a batch of poles.
 
     ``table`` is the flat n*n multiplication table of element indices.
+    Bit k of a word stands for the k-th pole of the batch: bit k of
+    ``pole_words[z]`` is set when z is in pole k.  A fact holds one
+    word of ``width`` bits per element, word i at bit i * width, whose
+    bit k is set when i is in the fact under pole k.  Under pole k, y
+    is in the orthogonal when every i in the fact has product(i, y) in
+    the pole, so with X[i] the words of x:
+
+        out[y] = AND_i (~X[i] | pole_words[table[i * n + y]])
     """
-    res = 0
-    for y in range(n):
-        row = y  # column offset; table[i * n + y]
-        ok = True
-        m = x_mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not (pole_mask >> table[i * n + row]) & 1:
-                ok = False
-                break
-        if ok:
-            res |= 1 << y
-    return res
+    full = (1 << width) - 1
+    out = [full] * n
+    row = 0
+    while x:
+        xi = x & full
+        if xi:
+            for y in range(n):
+                out[y] &= ~xi | pole_words[table[row + y]]
+        x >>= width
+        row += n
+    fact = 0
+    for word in reversed(out):
+        fact = fact << width | word
+    return fact
 
 
 def is_antichain(masks):

@@ -9,6 +9,7 @@ commutative monoids up to isomorphism together with all poles.
 from __future__ import annotations
 
 from itertools import islice, permutations
+from threading import Lock
 
 from . import _kernels as kernels
 from .errors import FileFormatError, UnboundVariable
@@ -25,14 +26,13 @@ class PhaseSpace:
     ValueError carries the full list of violations.
     """
 
-    __slots__ = ("elements", "unit", "pole", "_index", "_table", "_pole_mask",
-                 "_unit_index", "_exponential", "_orthogonals")
+    __slots__ = ("elements", "unit", "_index", "_table", "_pole_mask",
+                 "_unit_index", "_batch")
 
     def __init__(self, elements, unit, table, pole):
         self.elements = tuple(elements)
         self.unit = unit
         table = dict(table)
-        self.pole = frozenset(pole)
         self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
         if len(self._index) != n:
@@ -40,8 +40,11 @@ class PhaseSpace:
         violations = []
         if unit not in self._index:
             violations.append(f"unit {unit!r} is not an element")
-        for e in self.pole:
-            if e not in self._index:
+        self._pole_mask = 0
+        for e in frozenset(pole):
+            if e in self._index:
+                self._pole_mask |= 1 << self._index[e]
+            else:
                 violations.append(f"pole member {e!r} is not an element")
         flat = [0] * (n * n)
         if not violations:
@@ -67,12 +70,7 @@ class PhaseSpace:
                     violations.append(f"commutativity fails on {a!r},{b!r}")
         self._table = tuple(flat)
         self._unit_index = self._index.get(unit, 0)
-        self._exponential = None
-        self._orthogonals = {}
-        self._pole_mask = 0
-        for e in self.pole:
-            if e in self._index:
-                self._pole_mask |= 1 << self._index[e]
+        self._batch = None
         if not violations:
             violations.extend(self._law_violations())
         if violations:
@@ -92,10 +90,8 @@ class PhaseSpace:
         space._table = self._table
         space._unit_index = self._unit_index
         space._pole_mask = pole_mask
-        # the base of ! and ? and the orthogonals depend on the pole
-        space._exponential = None
-        space._orthogonals = {}
-        space.pole = self.set_of(pole_mask)
+        # the facts depend on the pole: a variant folds in its own batch
+        space._batch = None
         return space
 
     def _law_violations(self):
@@ -125,6 +121,10 @@ class PhaseSpace:
     def size(self):
         return len(self.elements)
 
+    @property
+    def pole(self):
+        return self.set_of(self._pole_mask)
+
     def mul(self, a, b):
         n = len(self.elements)
         return self.elements[self._table[self._index[a] * n + self._index[b]]]
@@ -138,40 +138,25 @@ class PhaseSpace:
     def set_of(self, mask):
         return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
+    def batch(self) -> "PoleBatch":
+        """This space as the batch of its one pole, made on first use.
+
+        Its facts are the bitmasks of their subsets.
+        """
+        batch = self._batch
+        if batch is None:
+            with _BATCH_LOCK:  # one batch, so one orthogonal memo
+                batch = self._batch
+                if batch is None:
+                    n = len(self.elements)
+                    batch = self._batch = PoleBatch(
+                        self._table, n, self._unit_index,
+                        tuple(self._pole_mask >> z & 1 for z in range(n)), 1)
+        return batch
+
     def orthogonal_mask(self, mask):
         """The orthogonal of a subset, computed once per space and mask."""
-        out = self._orthogonals.get(mask)
-        if out is None:
-            out = self._orthogonals[mask] = kernels.phase_orthogonal(
-                self._table, len(self.elements), self._pole_mask, mask)
-        return out
-
-    def closure_mask(self, mask):
-        return self.orthogonal_mask(self.orthogonal_mask(mask))
-
-    def product_mask(self, xm, ym):
-        n = len(self.elements)
-        out = 0
-        for i in range(n):
-            if not xm >> i & 1:
-                continue
-            row = i * n
-            m = ym
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                out |= 1 << self._table[row + j]
-        return out
-
-    def exponential_mask(self):
-        """The base of ! and ?: the idempotents in the closure of the unit."""
-        if self._exponential is None:
-            n = len(self.elements)
-            idempotents = sum(1 << i for i in range(n)
-                              if self._table[i * n + i] == i)
-            self._exponential = idempotents & self.closure_mask(
-                1 << self._unit_index)
-        return self._exponential
+        return self.batch().orthogonal(mask)
 
     def to_dict(self):
         return {
@@ -188,9 +173,91 @@ class PhaseSpace:
                 f"pole={{{','.join(sorted(self.pole, key=self.elements.index))}}})")
 
 
+_BATCH_LOCK = Lock()
+
+
+class PoleBatch:
+    """Poles over one monoid table, folded through at once.
+
+    A fact is bit-sliced: an int holding one word of ``width`` bits per
+    element, word i at bits [i * width, (i + 1) * width), where bit k
+    of word i is set when element i is in the fact under the k-th pole.
+    Each connective reads and writes bit k of its operands' words only,
+    so one fold gives a formula's fact under every pole of the batch,
+    and a fixpoint's slice k follows exactly the chain it follows in
+    the space of pole k alone.  A parsed space is the batch of its one
+    pole, of width 1, whose facts are the bitmasks of their subsets.
+    """
+
+    __slots__ = ("table", "size", "unit", "pole_words", "width", "full",
+                 "top", "unit_point", "_orthogonals", "_exponential")
+
+    def __init__(self, table, size, unit, pole_words, width):
+        self.table = table
+        self.size = size
+        self.unit = unit
+        # bit k of pole_words[z]: z is in the k-th pole
+        self.pole_words = pole_words
+        self.width = width
+        self.full = (1 << width) - 1  # one word, every pole
+        self.top = (1 << size * width) - 1
+        self.unit_point = self.full << unit * width
+        self._orthogonals = {}
+        self._exponential = None
+
+    @classmethod
+    def every_pole(cls, space: PhaseSpace) -> "PoleBatch":
+        """The batch of all 2^n poles of a space's monoid, pole mask P at
+        bit P."""
+        n = space.size
+        width = 1 << n
+        full = (1 << width) - 1
+        # z is in pole P when bit z of P is set: the bits of full in the
+        # upper half of each block of 2^(z+1)
+        words = tuple(full // ((1 << (1 << z)) + 1) << (1 << z)
+                      for z in range(n))
+        return cls(space._table, n, space._unit_index, words, width)
+
+    def orthogonal(self, fact):
+        """The orthogonal of a fact, computed once per batch and fact."""
+        out = self._orthogonals.get(fact)
+        if out is None:
+            out = self._orthogonals[fact] = kernels.phase_orthogonal(
+                self.table, self.size, self.pole_words, fact, self.width)
+        return out
+
+    def closure(self, fact):
+        return self.orthogonal(self.orthogonal(fact))
+
+    def product(self, x, y):
+        n = self.size
+        t = self.table
+        b = self.width
+        full = self.full
+        out = 0
+        for i in range(n):
+            xi = x >> i * b & full
+            if xi:
+                row = i * n
+                for j in range(n):
+                    w = xi & y >> j * b
+                    if w:
+                        out |= w << t[row + j] * b
+        return out
+
+    def exponential(self):
+        """The base of ! and ?: the idempotents in the closure of the unit."""
+        if self._exponential is None:
+            n = self.size
+            idempotents = sum(self.full << i * self.width for i in range(n)
+                              if self.table[i * n + i] == i)
+            self._exponential = idempotents & self.closure(self.unit_point)
+        return self._exponential
+
+
 def fact_closure(space: PhaseSpace, subset) -> frozenset:
     """Double orthogonal of a subset: the least fact containing it."""
-    return space.set_of(space.closure_mask(space.mask_of(subset)))
+    return space.set_of(space.batch().closure(space.mask_of(subset)))
 
 
 def orthogonal_fact(space: PhaseSpace, subset) -> frozenset:
@@ -207,40 +274,36 @@ def interpret_phase(space: PhaseSpace, f: Formula, env=None) -> frozenset:
     env = env or {}
     check_variance(dict.fromkeys(env), f)
     env_masks = {name: space.mask_of(s) for name, s in env.items()}
-    return space.set_of(fold(f, env_masks, PHASE, space))
+    return space.set_of(fold(f, env_masks, SLICED, space.batch()))
 
 
-def _fix(space, node, env):
-    least = type(node) is Mu
-    start = space.closure_mask(0) if least else (1 << space.size) - 1
+def _fix(batch, node, env):
+    start = batch.closure(0) if type(node) is Mu else batch.top
     return iterate(
-        lambda cur: fold(node.body, {**env, node.var: cur}, PHASE, space),
-        start, (1 << space.size) + 2)
+        lambda cur: fold(node.body, {**env, node.var: cur}, SLICED, batch),
+        start, (1 << batch.size) + 2)
 
 
-# The fact of each constructor as a bitmask over the space's elements,
-# given its operands' facts.  ctx is the PhaseSpace.
-PHASE = {
-    One: lambda space: space.closure_mask(1 << space._unit_index),
-    Bot: lambda space: space.orthogonal_mask(1 << space._unit_index),
-    Top: lambda space: (1 << space.size) - 1,
-    Zero: lambda space: space.closure_mask(0),
-    Neg: lambda space, node, env: space.orthogonal_mask(
-        fold(node.body, env, PHASE, space)),
-    Tensor: lambda space, a, b: space.closure_mask(space.product_mask(a, b)),
-    # a | b is (a^~ * b^~)^~
-    Par: lambda space, a, b: space.orthogonal_mask(space.product_mask(
-        space.orthogonal_mask(a), space.orthogonal_mask(b))),
-    Plus: lambda space, a, b: space.closure_mask(a | b),
-    With: lambda space, a, b: a & b,
-    # a -o b is (a * b^~)^~
-    Lolli: lambda space, a, b: space.orthogonal_mask(space.product_mask(
-        a, space.orthogonal_mask(b))),
-    OfCourse: lambda space, a: space.closure_mask(
-        a & space.exponential_mask()),
-    # ?a is (!(a^~))^~
-    WhyNot: lambda space, a: space.orthogonal_mask(space.closure_mask(
-        space.orthogonal_mask(a) & space.exponential_mask())),
+# The bit-sliced fact of each constructor under a PoleBatch (the ctx),
+# given its operands' facts: union and intersection are | and &.
+SLICED = {
+    One: lambda b: b.closure(b.unit_point),
+    Bot: lambda b: b.orthogonal(b.unit_point),
+    Top: lambda b: b.top,
+    Zero: lambda b: b.closure(0),
+    Neg: lambda b, node, env: b.orthogonal(fold(node.body, env, SLICED, b)),
+    Tensor: lambda b, x, y: b.closure(b.product(x, y)),
+    # x | y is (x^~ * y^~)^~
+    Par: lambda b, x, y: b.orthogonal(b.product(b.orthogonal(x),
+                                                b.orthogonal(y))),
+    Plus: lambda b, x, y: b.closure(x | y),
+    With: lambda b, x, y: x & y,
+    # x -o y is (x * y^~)^~
+    Lolli: lambda b, x, y: b.orthogonal(b.product(x, b.orthogonal(y))),
+    OfCourse: lambda b, x: b.closure(x & b.exponential()),
+    # ?x is (!(x^~))^~
+    WhyNot: lambda b, x: b.orthogonal(b.closure(
+        b.orthogonal(x) & b.exponential())),
     Mu: _fix,
     Nu: _fix,
 }
@@ -249,7 +312,7 @@ PHASE = {
 def holds(space: PhaseSpace, f: Formula) -> bool:
     """Validity as membership of the monoid unit in the denoted fact."""
     _check_formula(f)
-    return _holds(space, f)
+    return bool(fold(f, {}, SLICED, space.batch()) >> space._unit_index & 1)
 
 
 def _check_formula(f):
@@ -258,11 +321,6 @@ def _check_formula(f):
     if free:
         raise UnboundVariable(sorted(free)[0])
     check_variance({}, f)
-
-
-def _holds(space, f) -> bool:
-    """holds for a formula already known to be closed."""
-    return bool(fold(f, {}, PHASE, space) >> space._unit_index & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +452,15 @@ def search_counter_model(f: Formula, max_size: int = 5):
         raise ValueError("counter-model search is capped at monoids of "
                          f"size {MAX_SEARCH_SIZE}")
     _check_formula(f)  # once per search, not once per space
+    table = None
     for space in enumerate_spaces(max_size):
-        if not _holds(space, f):
+        if space._table is not table:  # a new monoid: fold under all poles
+            table = space._table
+            batch = PoleBatch.every_pole(space)
+            # bit P of the unit's word: f holds under pole P
+            unit_word = fold(f, {}, SLICED, batch) >> (
+                space._unit_index * batch.width)
+        if not unit_word >> space._pole_mask & 1:
             return space
     return None
 

@@ -445,6 +445,18 @@ def _diff(sr, lo, hi):
     return hi - lo
 
 
+def _sup_diff(sr, lo, hi, coords):
+    """The sup-norm of hi - lo over coords: INF as soon as one
+    coordinate's difference is, since INF does not compare with floats."""
+    out = sr.zero
+    for n in coords:
+        d = _diff(sr, lo[n], hi[n])
+        if d is INF:
+            return INF
+        out = max(out, d)
+    return out
+
+
 def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
                     mode: str = "float") -> KleeneResult:
     """Least fixpoint approximation by iteration from the zero vector.
@@ -469,14 +481,12 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
             if not sr.le(cur[n], nxt[n]):
                 raise AssertionError(
                     f"iterates are not ascending at coordinate {n!r}")
-        step = max((_diff(sr, cur[n], nxt[n]) for n in f.inputs),
-                   default=sr.zero)
+        step = _sup_diff(sr, cur, nxt, f.inputs)
         cur = nxt
         if step is not INF and step <= tol:
             return KleeneResult(cur, step, it, True, mode)
     after = f.eval(cur, sr)
-    residual = max((_diff(sr, cur[n], after[n]) for n in f.inputs),
-                   default=sr.zero)
+    residual = _sup_diff(sr, cur, after, f.inputs)
     last = KleeneResult(cur, residual, max_iter, False, mode)
     err = BudgetExceeded(
         f"no stabilization within {max_iter} iterations "

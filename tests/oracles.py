@@ -283,3 +283,135 @@ def fixpoint_sample(count, seed):
                  for body in _NESTED for o in ("mu", "nu")
                  for i in ("mu", "nu") for leaf in _LEAVES]
     return random.Random(seed).sample(formulas, count)
+
+
+# ---------------------------------------------------------------------------
+# phase semantics on explicit sets (reference for the phase module)
+
+def phase_orthogonal_set(space, xs):
+    """{ y | forall x in xs. xy in P }, the orthogonal of a set of names."""
+    pole = frozenset(space.pole)
+    return frozenset(y for y in space.elements
+                     if all(space.mul(x, y) in pole for x in xs))
+
+
+def phase_fact(space, f, env=None):
+    """The fact of f in a phase space, from the textbook definitions.
+
+    Facts are frozensets of element names.  Only the space's elements,
+    unit, pole and product are read: X^~ = { y | forall x in X. xy in P },
+    every connective is its definition over such sets, and mu / nu
+    iterate their body from the least fact / the whole monoid until it
+    repeats a set.
+    """
+    from mullsem import formula as fm
+
+    elems = frozenset(space.elements)
+    mul = space.mul
+
+    def orth(xs):
+        return phase_orthogonal_set(space, xs)
+
+    def close(xs):
+        return orth(orth(xs))
+
+    def times(xs, ys):
+        return frozenset(mul(x, y) for x in xs for y in ys)
+
+    def bang(xs):
+        # ! keeps the idempotents of the unit's fact
+        base = frozenset(x for x in close({space.unit}) if mul(x, x) == x)
+        return close(xs & base)
+
+    def value(g, env):
+        match g:
+            case fm.Var(name):
+                return env[name]
+            case fm.One():
+                return close({space.unit})
+            case fm.Bot():
+                return orth({space.unit})
+            case fm.Top():
+                return elems
+            case fm.Zero():
+                return close(frozenset())
+            case fm.Neg(body):
+                return orth(value(body, env))
+            case fm.Tensor(a, b):
+                return close(times(value(a, env), value(b, env)))
+            case fm.Par(a, b):
+                return orth(times(orth(value(a, env)), orth(value(b, env))))
+            case fm.Plus(a, b):
+                return close(value(a, env) | value(b, env))
+            case fm.With(a, b):
+                return value(a, env) & value(b, env)
+            case fm.Lolli(a, b):
+                xs, ys = value(a, env), value(b, env)
+                return frozenset(z for z in elems
+                                 if all(mul(x, z) in ys for x in xs))
+            case fm.OfCourse(body):
+                return bang(value(body, env))
+            case fm.WhyNot(body):
+                return orth(bang(orth(value(body, env))))
+            case fm.Mu(var, body) | fm.Nu(var, body):
+                cur = close(frozenset()) if type(g) is fm.Mu else elems
+                seen = {cur}
+                while True:
+                    nxt = value(body, {**env, var: cur})
+                    if nxt == cur:
+                        return cur
+                    assert nxt not in seen, f"{g} cycles"
+                    seen.add(nxt)
+                    cur = nxt
+        raise TypeError(f"not a formula: {g!r}")
+
+    return value(f, dict(env or {}))
+
+
+def random_phase_formulas(count, seed):
+    """A seeded sample of closed, well-sorted formulas, as text.
+
+    Binders nest up to three deep, and every connective, negation and
+    both exponentials occur.  A variable is used only where its sort
+    allows: positive occurrences of its binder's sort, so that ~ and
+    the left of -o flip which variables are usable.
+    """
+    from mullsem.errors import VarianceError
+    from mullsem.formula import check_variance, parse
+
+    rng = random.Random(seed)
+    atoms = ("1", "bot", "0", "top")
+
+    def gen(depth, usable, hidden, binders):
+        # usable: variables at their binder's polarity here; hidden: the
+        # rest of the bound variables
+        if depth == 0 or rng.random() < 0.15:
+            if usable and rng.random() < 0.6:
+                return rng.choice(usable)
+            return rng.choice(atoms)
+        kind = rng.randrange(10)
+        if kind < 2 and binders < 3:
+            var = f"x{binders}"
+            body = gen(depth - 1, usable + [var], hidden, binders + 1)
+            return f"({rng.choice(('mu', 'nu'))} {var}. {body})"
+        if kind == 2:
+            return f"~{gen(depth - 1, hidden, usable, binders)}"
+        if kind == 3:
+            return f"{rng.choice('!?')}{gen(depth - 1, usable, hidden, binders)}"
+        if kind == 4:
+            left = gen(depth - 1, hidden, usable, binders)
+            return f"({left} -o {gen(depth - 1, usable, hidden, binders)})"
+        op = rng.choice(("*", "|", "+", "&"))
+        return (f"({gen(depth - 1, usable, hidden, binders)} {op} "
+                f"{gen(depth - 1, usable, hidden, binders)})")
+
+    out = []
+    while len(out) < count:
+        text = gen(5, [], [], 0)
+        try:
+            check_variance({}, parse(text))
+        except VarianceError:
+            continue
+        if "x" in text:  # every sample has a binder
+            out.append(text)
+    return out

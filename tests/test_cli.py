@@ -300,6 +300,22 @@ class TestFix:
         assert data["value"] == {"x": "inf"}
         assert data["certified"] is False
 
+    @pytest.mark.parametrize("text, value", [
+        ("x: 1 + 2 * y\ny: 1 + 2 * x\n", {"x": "inf", "y": "inf"}),
+        ("x: 1 + 2 * x + y\ny: 1/4 + 1/2 * y\n", {"x": "inf", "y": "0.5"}),
+    ], ids=["both", "one"])
+    def test_divergent_system_reads_inf(self, tmp_path, text, value):
+        # the sup-norm step mixes finite and infinite coordinates
+        expr = tmp_path / "divergent.fx"
+        expr.write_text(text)
+        proc = run_child("fix", "--expr", str(expr))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        data = json.loads(proc.stdout)
+        assert data["value"] == value
+        assert data["stabilized"] is True
+        assert data["certified"] is False and data["upper"] is None
+
     @pytest.mark.parametrize("mode", ["float", "exact"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_tolerance_is_input_error(self, capsys, tmp_path,

@@ -5,7 +5,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from mullsem import _kernels as kernels
+from oracles import phase_orthogonal_set
 from mullsem.budgets import Budgets
 from mullsem.formula import parse
 from mullsem.phase import (PhaseSpace, enumerate_commutative_monoids,
@@ -37,7 +37,7 @@ def test_concurrent_orthogonals_of_one_space():
     tables = enumerate_commutative_monoids(n)
     space = space_from_table(tables[-1], n, 0b10110)
     masks = list(range(1 << n))
-    want = [kernels.phase_orthogonal(space._table, n, space._pole_mask, m)
+    want = [space.mask_of(phase_orthogonal_set(space, space.set_of(m)))
             for m in masks]
 
     def job(seed):
@@ -53,7 +53,8 @@ def test_concurrent_orthogonals_of_one_space():
     finally:
         sys.setswitchinterval(interval)
     assert results == [True] * 16
-    assert space._orthogonals == dict(zip(masks, want))
+    # one memo, in the space's batch of one pole
+    assert space.batch()._orthogonals == dict(zip(masks, want))
 
 
 def test_concurrent_totality_on_shared_spaces():

@@ -352,7 +352,9 @@ class TestOnePassVariance:
 def _tables():
     budgets = Budgets(depth=2)
     two = Carrier([InL(UNIT), InR(UNIT)])
-    space = next(s for s in phase.enumerate_spaces(2) if s.size == 2)
+    # a two-element monoid under all four of its poles at once
+    poles = phase.PoleBatch.every_pole(
+        next(s for s in phase.enumerate_spaces(2) if s.size == 2))
     spaces = {"a": interpret_totality(parse("1 + 1")),
               "b": interpret_totality(parse("1"))}
     return {
@@ -360,8 +362,9 @@ def _tables():
                          {"a": two, "b": Carrier([UNIT])}),
         "totality": (totality.TOTALITY, budgets, spaces),
         "totality families": (totality._FAMILIES, budgets, spaces),
-        "phase": (phase.PHASE, space, {"a": space.closure_mask(2),
-                                       "b": space.closure_mask(1)}),
+        "phase": (phase.SLICED, poles,
+                  {"a": poles.closure(poles.full << poles.width),
+                   "b": poles.closure(poles.unit_point)}),
     }
 
 

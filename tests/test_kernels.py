@@ -71,14 +71,27 @@ class TestPureAgainstBruteForce:
                         assert not all(smaller & e for e in fam)
 
     def test_phase_orthogonal(self):
+        # a batch of k poles, each with its own subset: slice p of the
+        # output is the orthogonal of subset p under pole p
         rng = random.Random(104)
-        for _ in range(100):
+        for _ in range(200):
             n = rng.randint(1, 5)
+            k = rng.randint(1, 40)
             table = [rng.randrange(n) for _ in range(n * n)]
-            pole = rng.randrange(1 << n)
-            x = rng.randrange(1 << n)
-            assert pure.phase_orthogonal(table, n, pole, x) == \
-                brute_phase_orth(table, n, pole, x)
+            poles = [rng.randrange(1 << n) for _ in range(k)]
+            xs = [rng.randrange(1 << n) for _ in range(k)]
+
+            def words(masks):
+                return [sum((m >> i & 1) << p for p, m in enumerate(masks))
+                        for i in range(n)]
+
+            def fact(masks):  # word i at bit i * k
+                return sum(w << i * k for i, w in enumerate(words(masks)))
+
+            out = pure.phase_orthogonal(table, n, tuple(words(poles)),
+                                        fact(xs), k)
+            assert out == fact([brute_phase_orth(table, n, pole, x)
+                                for pole, x in zip(poles, xs)])
 
     def test_is_antichain(self):
         rng = random.Random(105)

@@ -2,13 +2,15 @@ from itertools import permutations
 
 import pytest
 
-from oracles import brute_commutative_monoid_count, powerset
+from oracles import (brute_commutative_monoid_count, phase_fact,
+                     phase_orthogonal_set, powerset, random_phase_formulas)
 from mullsem import _kernels as kernels
 from mullsem import phase
 from mullsem.errors import (FileFormatError, IterationBudgetExceeded,
                             UnboundVariable, VarianceError)
 from mullsem.formula import Mu, Neg, Nu, fold, parse, nnf, substitute
-from mullsem.phase import (PhaseSpace, enumerate_commutative_monoids,
+from mullsem.phase import (PhaseSpace, PoleBatch,
+                           enumerate_commutative_monoids,
                            enumerate_spaces, fact_closure, holds,
                            interpret_phase, orthogonal_fact,
                            parse_phase_space, render_phase_space,
@@ -118,12 +120,15 @@ class TestInterpret:
 class TestFixpointBudget:
     def test_oscillating_body_exhausts_the_budget(self):
         # ~x is not monotone: from the least fact the iterates alternate,
-        # so the chain stops at its budget of 2^n + 2 steps.  The public
-        # calls refuse such a body, so this folds through the table.
+        # so the chain stops at its budget of 2^n + 2 steps, in the batch
+        # of one pole as in that of all poles.  The public calls refuse
+        # such a body, so this folds through the table.
         space = space_from_table((0, 1, 1, 0), 2, 1)
-        with pytest.raises(IterationBudgetExceeded,
-                           match="^no stabilization within 6 iterations$"):
-            fold(parse("mu x. ~x"), {}, phase.PHASE, space)
+        for batch in (space.batch(), PoleBatch.every_pole(space)):
+            with pytest.raises(IterationBudgetExceeded,
+                               match="^no stabilization within 6 "
+                                     "iterations$"):
+                fold(parse("mu x. ~x"), {}, phase.SLICED, batch)
 
     def test_ill_sorted_binder_is_variance_error(self, monkeypatch):
         space = space_from_table((0, 1, 1, 0), 2, 1)
@@ -313,11 +318,17 @@ class TestEnumeration:
                 [holds(want, f) for f in formulas], want
 
 
+def pole_slice(batch, fact, p):
+    """The bitmask of the subset a bit-sliced fact holds under pole p."""
+    return sum((fact >> i * batch.width + p & 1) << i
+               for i in range(batch.size))
+
+
 class TestOrthogonalMemo:
     @pytest.mark.parametrize("descending", [False, True])
-    def test_memo_matches_the_kernel(self, monkeypatch, descending):
-        # each space computes the orthogonal of a mask once, whatever
-        # the order in which the masks are asked
+    def test_memo_matches_the_oracle(self, monkeypatch, descending):
+        # each space computes the orthogonal of a mask once, in its batch
+        # of one pole, whatever the order in which the masks are asked
         calls = []
         original = kernels.phase_orthogonal
         monkeypatch.setattr(kernels, "phase_orthogonal",
@@ -332,10 +343,94 @@ class TestOrthogonalMemo:
                 masks.reverse()
             before = len(calls)
             for mask in (*masks, *masks):
-                assert space.orthogonal_mask(mask) == original(
-                    space._table, n, space._pole_mask, mask), (space, mask)
+                want = phase_orthogonal_set(space, space.set_of(mask))
+                assert space.orthogonal_mask(mask) == space.mask_of(want), \
+                    (space, mask)
             assert len(calls) - before == 1 << n, space
+            assert {args[3] for args in calls[before:]} == set(masks)
         assert spaces == 354
+
+    def test_one_call_per_fact_of_a_monoid(self, monkeypatch):
+        # the batch of every pole of a monoid computes the orthogonal of
+        # a fact once, and its slice P is the orthogonal in the space of
+        # pole P
+        calls = []
+        original = kernels.phase_orthogonal
+        monkeypatch.setattr(kernels, "phase_orthogonal",
+                            lambda *args: calls.append(args) or
+                            original(*args))
+        for n in (1, 2, 3, 4):
+            for flat in enumerate_commutative_monoids(n):
+                monoid = space_from_table(flat, n, 0)
+                batch = PoleBatch.every_pole(monoid)
+                spaces = [monoid._with_pole(p) for p in range(1 << n)]
+                # one fact per subset: slice P holds subset P ^ mask
+                facts = [sum(((p ^ mask) >> i & 1) << i * batch.width + p
+                             for p in range(1 << n) for i in range(n))
+                         for mask in range(1 << n)]
+                before = len(calls)
+                for fact in (*facts, *reversed(facts)):
+                    got = batch.orthogonal(fact)
+                    for p, space in enumerate(spaces):
+                        mine = space.set_of(pole_slice(batch, fact, p))
+                        want = phase_orthogonal_set(space, mine)
+                        assert pole_slice(batch, got, p) == \
+                            space.mask_of(want)
+                    assert got >> n * batch.width == 0
+                assert len(calls) - before == len(set(facts)), flat
+
+
+class TestAgainstOracle:
+    """interpret_phase and the search against the set-based oracle."""
+
+    FORMULAS = [parse(text) for text in
+                random_phase_formulas(80, 18) + CORPUS
+                + ["!1 -o !1", "bot -o ?bot", "(1 & bot) -o 1",
+                   "mu x. ?x", "nu x. !x", "nu x. mu y. !(x | ?y)",
+                   # first counter-models past the smallest spaces
+                   "nu x. x & ?(~bot & (0 | x))",
+                   "~((mu x. (top & bot) -o x) * ~((bot | 1) & ~bot))",
+                   "(bot * (~(1 & 1) & (nu x. !bot))) -o "
+                   "~((nu x. x | x) & (~top + bot))",
+                   "?((top & (1 | ~bot)) | (((mu x. x) + (bot + 1)) "
+                   "& (top & (bot -o top))))"]]
+
+    def test_interpret_on_every_space_up_to_size_3(self):
+        spaces = list(enumerate_spaces(3))
+        assert len(spaces) == 50
+        for space in spaces:
+            for f in self.FORMULAS:
+                assert interpret_phase(space, f) == phase_fact(space, f), \
+                    (space, f)
+
+    def test_every_pole_batch_up_to_size_3(self):
+        # the search's fold: one per monoid, slice P under pole P
+        for n in (1, 2, 3):
+            for flat in enumerate_commutative_monoids(n):
+                monoid = space_from_table(flat, n, 0)
+                batch = PoleBatch.every_pole(monoid)
+                for f in self.FORMULAS:
+                    fact = fold(f, {}, phase.SLICED, batch)
+                    for p in range(1 << n):
+                        space = monoid._with_pole(p)
+                        got = space.set_of(pole_slice(batch, fact, p))
+                        assert got == phase_fact(space, f), (space, f)
+
+    def test_search_finds_the_oracles_first_failing_space(self):
+        spaces = list(enumerate_spaces(4))
+        found = set()
+        for f in self.FORMULAS:
+            want = next((s for s in spaces
+                         if s.unit not in phase_fact(s, f)), None)
+            got = search_counter_model(f, 4)
+            if want is None:
+                assert got is None, f
+            else:
+                assert (repr(got), got.to_dict()) == \
+                    (repr(want), want.to_dict()), f
+                found.add(repr(want))
+        # the counter-models are spread over sizes and poles
+        assert len(found) >= 7
 
 
 class TestFileFormat:
@@ -418,14 +513,14 @@ class TestExponentials:
         # its own memo, never from that of the space it came from, even
         # when the pole is the same
         source = space_from_table(table, 2, 0)
-        source._orthogonals.update(dict.fromkeys(range(4), -1))
+        source.batch()._orthogonals.update(dict.fromkeys(range(4), -1))
         for pole in range(4):
             variant = source._with_pole(pole)
             for mask in range(4):
-                assert variant.orthogonal_mask(mask) == \
-                    kernels.phase_orthogonal(table, 2, pole, mask)
-            assert -1 not in variant._orthogonals.values()
-        assert source._orthogonals == dict.fromkeys(range(4), -1)
+                want = phase_orthogonal_set(variant, variant.set_of(mask))
+                assert variant.orthogonal_mask(mask) == variant.mask_of(want)
+            assert -1 not in variant.batch()._orthogonals.values()
+        assert source.batch()._orthogonals == dict.fromkeys(range(4), -1)
 
     def test_bang_under_fixpoint(self):
         assert interpret_phase(SIGN, parse("mu x. !x")) == set()
