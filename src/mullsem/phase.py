@@ -12,10 +12,10 @@ from itertools import islice, permutations
 from threading import Lock
 
 from . import _kernels as kernels
-from .errors import FileFormatError, UnboundVariable
+from .errors import FileFormatError
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       Plus, Tensor, Top, WhyNot, With, Zero, check_variance,
-                      fold, free_vars)
+                      fold)
 from .lattice import iterate
 
 
@@ -311,16 +311,8 @@ SLICED = {
 
 def holds(space: PhaseSpace, f: Formula) -> bool:
     """Validity as membership of the monoid unit in the denoted fact."""
-    _check_formula(f)
+    check_variance({}, f)  # raises unless f is closed and well-sorted
     return bool(fold(f, {}, SLICED, space.batch()) >> space._unit_index & 1)
-
-
-def _check_formula(f):
-    """Raise unless f is closed and well-sorted."""
-    free = free_vars(f)
-    if free:
-        raise UnboundVariable(sorted(free)[0])
-    check_variance({}, f)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +443,7 @@ def search_counter_model(f: Formula, max_size: int = 5):
     if max_size > MAX_SEARCH_SIZE:
         raise ValueError("counter-model search is capped at monoids of "
                          f"size {MAX_SEARCH_SIZE}")
-    _check_formula(f)  # once per search, not once per space
+    check_variance({}, f)  # once per search, not once per space
     table = None
     for space in enumerate_spaces(max_size):
         if space._table is not table:  # a new monoid: fold under all poles

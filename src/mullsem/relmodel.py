@@ -10,7 +10,6 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -19,9 +18,10 @@ from .errors import BudgetExceeded, CarrierMismatch, IterationBudgetExceeded
 from .formula import (Bot, Formula, Mu, Neg, Nu, OfCourse, One, Par, Plus,
                       Tensor, Top, WhyNot, With, Zero, fold)
 from .lattice import iterate
+from .record import Record
 
 
-class Elem:
+class Elem(Record):
     """Base class of carrier elements; immutable, totally ordered.
 
     Each constructor caches the element's hash, built from its
@@ -33,8 +33,13 @@ class Elem:
     so there equality is mostly identity.  An element keeps the text
     ``str`` hands out for it, and ``render_elem`` keeps the texts of
     ``Pair`` and ``Bag`` components, so a shared part is rendered once.
+    Pickling rebuilds an element through its constructor, so the caches
+    are recomputed and no kept text travels.
     """
 
+    # each constructor writes the fields, hash and text through the
+    # slots' setters, past the frozen __setattr__; _key stays unset
+    # until sort_key is first asked
     __slots__ = ("_key", "_hash", "_text", "__weakref__")
 
     def __eq__(self, other):
@@ -51,29 +56,15 @@ class Elem:
     def __lt__(self, other):
         return sort_key(self) < sort_key(other)
 
-    def __reduce__(self):
-        # rebuild through __init__ so that the caches are recomputed and
-        # no kept text travels
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
     def __str__(self):
         return _kept_text(self)
 
 
-# The element classes are frozen dataclasses with one __init__ each,
-# which writes the fields and the hash through the slots' setters, past
-# the frozen __setattr__; the _key slot stays unset until sort_key is
-# first asked.  __slots__ is declared by hand rather than by
-# slots=True, which rebuilds the class: assigning a name that is not a
-# field of the rebuilt class raises TypeError, not FrozenInstanceError,
-# and before Python 3.11 it declares inherited fields a second time.
-_elem_class = dataclass(frozen=True, eq=False, init=False)
 _set_key = Elem._key.__set__
 _set_hash = Elem._hash.__set__
 _set_text = Elem._text.__set__
 
 
-@_elem_class
 class Unit(Elem):
     __slots__ = ()
 
@@ -82,12 +73,10 @@ class Unit(Elem):
         _set_text(self, None)
 
 
-@_elem_class
 class _Wrapper(Elem):
     """An element holding one value under the constructor tag _TAG."""
 
-    __slots__ = ("value",)
-    value: Elem
+    __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value):
         # the child's hash inlined: a __hash__ call per child would cost
@@ -101,23 +90,18 @@ class _Wrapper(Elem):
 _set_value = _Wrapper.value.__set__
 
 
-@_elem_class
 class InL(_Wrapper):
     __slots__ = ()
     _TAG = 1
 
 
-@_elem_class
 class InR(_Wrapper):
     __slots__ = ()
     _TAG = 2
 
 
-@_elem_class
 class Pair(Elem):
-    __slots__ = ("first", "second")
-    first: Elem
-    second: Elem
+    __slots__ = __match_args__ = ("first", "second")
 
     def __init__(self, first, second):
         # the hashes inlined per component, as in _Wrapper
@@ -133,12 +117,10 @@ _set_first = Pair.first.__set__
 _set_second = Pair.second.__set__
 
 
-@_elem_class
 class Bag(Elem):
     """Finite multiset, kept in canonical sorted order."""
 
-    __slots__ = ("items",)
-    items: tuple
+    __slots__ = __match_args__ = ("items",)
 
     def __init__(self, items):
         items = tuple(sorted(items, key=sort_key))
@@ -152,7 +134,6 @@ class Bag(Elem):
 _set_items = Bag.items.__set__
 
 
-@_elem_class
 class Fold(_Wrapper):
     __slots__ = ()
     _TAG = 5
@@ -335,19 +316,17 @@ EMPTY_CARRIER = Carrier._ordered(())
 UNIT_CARRIER = Carrier._ordered((UNIT,))
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A finite relation between two carriers."""
 
-    src: Carrier
-    tgt: Carrier
-    pairs: frozenset
+    __slots__ = __match_args__ = ("src", "tgt", "pairs")
 
-    def __post_init__(self):
-        src, tgt = self.src.as_set(), self.tgt.as_set()
-        for a, b in self.pairs:
-            if a not in src or b not in tgt:
+    def __init__(self, src: Carrier, tgt: Carrier, pairs: frozenset):
+        in_src, in_tgt = src.as_set(), tgt.as_set()
+        for a, b in pairs:
+            if a not in in_src or b not in in_tgt:
                 raise CarrierMismatch(f"pair ({a}, {b}) outside the carriers")
+        super().__init__(src, tgt, pairs)
 
     @classmethod
     def _trusted(cls, src: Carrier, tgt: Carrier, pairs: frozenset

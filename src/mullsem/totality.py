@@ -42,6 +42,8 @@ class UpFamily:
     def __init__(self, carrier: Carrier, minima):
         self.carrier = carrier
         minima = tuple(sorted(set(minima)))
+        if minima and (minima[0] < 0 or minima[-1] >> len(carrier)):
+            raise ValueError("minima must be masks of subsets of the carrier")
         if not kernels.is_antichain(minima):
             raise ValueError("minima must form an antichain; "
                              "use biclosure() to normalize")

@@ -84,12 +84,17 @@ def _cli_modules(*argv):
 
 
 # dataclasses (with inspect behind it) costs a CLI child several
-# milliseconds; only relmodel's element classes still need it
+# milliseconds, so no command imports it: the value classes are Records
 @pytest.mark.parametrize("argv,needed,unused", [
     (["variance", "mu x. 1 + x"], {"formula"},
      {"relmodel", "totality", "phase", "wrel", "dataclasses"}),
     (["interp", "--model", "rel", "--depth", "2", "mu x. 1 + x"],
-     {"formula", "relmodel"}, {"totality", "phase", "wrel"}),
+     {"formula", "relmodel"}, {"totality", "phase", "wrel", "dataclasses"}),
+    (["interp", "--model", "totality", "--depth", "2", "mu x. 1 + x"],
+     {"formula", "relmodel", "totality"}, {"phase", "wrel", "dataclasses"}),
+    (["interp", "--model", "wrel", "--depth", "2", "mu x. 1 + x"],
+     {"formula", "relmodel", "semiring"},
+     {"totality", "phase", "wrel", "dataclasses"}),
     (["phase-search", "--max-size", "3", "1 -o 1"], {"formula", "phase"},
      {"relmodel", "totality", "wrel", "dataclasses"}),
     (["fix", "--expr", "{walk}"], {"wrel", "newton"},

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import pickle
@@ -914,7 +913,8 @@ class TestKeptTexts:
 
 
 class TestElemClasses:
-    """The element classes' own constructors keep their dataclass surface."""
+    """The element classes keep the surface of a frozen value class:
+    repr, immutability, pattern matching and keyword construction."""
 
     SAMPLES = (UNIT, InL(UNIT), InR("a"), Fold(InL(UNIT)),
                Pair(1, InR(UNIT)), Bag((Fold(UNIT), "a")))
@@ -953,21 +953,36 @@ class TestElemClasses:
             "unit", ("inj", UNIT), ("inj", "a"), ("fold", InL(UNIT)),
             ("pair", 1, InR(UNIT)), ("bag", ("a", Fold(UNIT)))]
 
-    def test_dataclass_helpers(self):
-        for e in self.SAMPLES:
-            assert dataclasses.is_dataclass(e)
-            assert tuple(f.name for f in dataclasses.fields(e)) \
-                == e.__match_args__
-        # replace builds through the constructor, so the caches and the
-        # Bag order are recomputed
-        assert dataclasses.replace(Pair(1, UNIT), second="a") == Pair(1, "a")
-        bag = dataclasses.replace(Bag(("a",)), items=("b", "a"))
-        assert bag.items == ("a", "b") and bag == Bag(("b", "a"))
-
     def test_constructors_take_their_fields_by_keyword(self):
         assert Pair(first=UNIT, second="a") == Pair(UNIT, "a")
         assert InL(value=UNIT) == InL(UNIT)
         assert Bag(items=("b", "a")).items == ("a", "b")
+
+
+def test_relation_surface():
+    """Relation is a frozen value class whose every way in but
+    ``_trusted`` checks the pairs against the carriers."""
+    src, tgt = Carrier("ab"), Carrier([UNIT])
+    r = Relation(src, tgt, frozenset({("a", UNIT)}))
+    assert repr(r) == ("Relation(src=Carrier{a, b}, tgt=Carrier{()}, "
+                       "pairs=frozenset({('a', Unit())}))")
+    same = Relation(src=Carrier("ba"), tgt=tgt, pairs=frozenset({("a", UNIT)}))
+    assert same == r and hash(same) == hash(r)
+    assert r != Relation(src, tgt, frozenset())
+    assert r != (src, tgt, r.pairs)
+    copy = pickle.loads(pickle.dumps(r))
+    assert copy == r and hash(copy) == hash(r)
+    # unpickling rebuilds through the checking constructor
+    bad = Relation._trusted(src, tgt, frozenset({("c", UNIT)}))
+    data = pickle.dumps(bad)
+    with pytest.raises(CarrierMismatch):
+        pickle.loads(data)
+    for name in ("src", "tgt", "pairs", "new"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(r, name)
+    assert not hasattr(r, "__dict__")
 
 
 def _has_key(e):
@@ -1029,7 +1044,7 @@ class TestLazyKeys:
             assert sort_key(copy) == _recursive_sort_key(e)
             assert _has_key(e) is kept
             sort_key(e)
-        swapped = dataclasses.replace(e, second=InL("b"))
+        swapped = Pair(e.first, InL("b"))
         assert not _has_key(swapped)
         assert sort_key(swapped) == _recursive_sort_key(swapped) \
             < sort_key(e)

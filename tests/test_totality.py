@@ -416,6 +416,15 @@ class TestErrorsAndEnv:
         with pytest.raises(ValueError):
             UpFamily(AB, (1, 3))  # {a} inside {a,b}
 
+    @pytest.mark.parametrize("carrier,minima", [
+        (Carrier(["a"]), (2,)), (AB, (4,)), (AB, (1, 8)), (AB, (-1,)),
+        (AB, (-2, 1)), (Carrier([]), (1,))])
+    def test_mask_outside_carrier_rejected(self, carrier, minima):
+        # only the constructor is called: on such a family min_sets
+        # would raise IndexError, and orthogonal loop on a negative mask
+        with pytest.raises(ValueError, match="subsets of the carrier"):
+            UpFamily(carrier, minima)
+
     def test_enumeration_bound(self):
         big = Carrier([f"e{i}" for i in range(5)])
         with pytest.raises(CarrierTooLarge):
@@ -949,3 +958,32 @@ class TestPenultimateStep:
             new, old = _both(monkeypatch, parse(text),
                              Budgets(depth=0, bag=2))
             assert new == old == ((), minima, False), text
+
+
+def test_stabilized_flag_holds_two_depths_deeper():
+    """What totality's ``stabilized: true`` claims at depth k: the
+    minimal antichain restricted below depth k-1 agrees with depth k-1.
+    On a sample of the benchmark grammar it also agrees at depths k+1
+    and k+2; refused answers are skipped."""
+    def answer(f, depth):
+        try:
+            return interpret_totality(
+                f, {}, Budgets(depth=depth, bag=2, carrier_cap=1000))
+        except MullsemError:
+            return None
+
+    formulas = random.Random(7).sample(_benchmark_grammar(), 60)
+    compared = 0
+    for text in formulas:
+        f = parse(text)
+        for depth in (2, 3):
+            space = answer(f, depth)
+            if space is None or not space.stabilized:
+                continue
+            expected = restrict_antichain(space.family, depth - 1)
+            for deeper in (answer(f, depth + 1), answer(f, depth + 2)):
+                if deeper is not None:
+                    assert restrict_antichain(deeper.family, depth - 1) \
+                        == expected, (text, depth, deeper.carrier)
+                    compared += 1
+    assert compared > 0
