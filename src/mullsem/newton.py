@@ -96,7 +96,6 @@ def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
     lower = {n: Fraction(0) for n in names}
     steps = 0
     if None not in body.values() and len(names) <= NEWTON_DIMENSION_CAP:
-        jacobian = [[_derivative(body[i], j) for j in names] for i in names]
         bits = max(NEWTON_BITS, math.ceil(1 / exact_tol).bit_length() + 32)
         # fractions with denominators up to D lie 1/D^2 apart, so a lower
         # bound within tol <= 1/(2 D^2) of such a fixpoint snaps onto it
@@ -109,10 +108,10 @@ def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
                 mid = {n: _float((lower[n] + upper[n]) / 2) for n in names}
                 return CertifiedResult(mid, _float(width), steps, True,
                                        "float", lower, upper)
-            image = {n: eval_scalar(body[n], lower, RINF) for n in names}
+            linear = [_linearize(body[n], lower) for n in names]
+            gap = [image - lower[n] for n, (image, _) in zip(names, linear)]
             if steps == max_iter:
-                residual = _float(max(abs(image[n] - lower[n])
-                                      for n in names))
+                residual = _float(max(map(abs, gap)))
                 err = BudgetExceeded(
                     f"no certified bracket within {max_iter} Newton steps "
                     f"(residual {residual!r})")
@@ -120,15 +119,12 @@ def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
                     {n: _float(v) for n, v in lower.items()}, residual,
                     steps, False, "float", lower, None)
                 raise err
-            inverse = _inverse(
-                [[int(i == j) - (0 if d is None
-                                 else eval_scalar(d, lower, RINF))
-                  for j, d in zip(names, row)]
-                 for i, row in zip(names, jacobian)])
+            inverse = _inverse([[int(i == j) - partials.get(j, 0)
+                                 for j in names]
+                                for i, (_, partials) in zip(names, linear)])
             if inverse is None or any(v < 0 for row in inverse for v in row):
                 break
             steps += 1
-            gap = [image[n] - lower[n] for n in names]
             rise = {n: _round_down(lower[n] + sum(
                 m * g for m, g in zip(row, gap)), bits)
                 for n, row in zip(names, inverse)}
@@ -159,36 +155,24 @@ def _exact(expr: ScalarExpr):
     raise TypeError(f"not a scalar expression: {expr!r}")
 
 
-_ONE = SConst(Fraction(1))
-
-
-def _derivative(expr: ScalarExpr, name: str):
-    """Partial derivative of expr in coordinate name; None is zero."""
+def _linearize(expr: ScalarExpr, point: dict):
+    """f(x) and the non-zero partials {j: df/dx_j (x)} of expr at a
+    non-negative exact point, in one forward pass."""
     match expr:
-        case SConst(_):
-            return None
+        case SConst(v):
+            return v, {}
         case SCoord(n):
-            return _ONE if n == name else None
+            return point[n], {n: 1}
         case SAdd(a, b):
-            return _sum(_derivative(a, name), _derivative(b, name))
+            (va, da), (vb, db) = _linearize(a, point), _linearize(b, point)
+            return va + vb, {j: da.get(j, 0) + db.get(j, 0) for j in da | db}
         case SMul(a, b):
-            return _sum(_product(_derivative(a, name), b),
-                        _product(a, _derivative(b, name)))
+            (va, da), (vb, db) = _linearize(a, point), _linearize(b, point)
+            # every value is non-negative: only a zero factor drops a partial
+            live = (da if vb else {}) | (db if va else {})
+            return va * vb, {j: da.get(j, 0) * vb + va * db.get(j, 0)
+                             for j in live}
     raise TypeError(f"not a scalar expression: {expr!r}")
-
-
-def _sum(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return SAdd(a, b)
-
-
-def _product(a, b):
-    if a is None or b is None:
-        return None
-    return b if a is _ONE else a if b is _ONE else SMul(a, b)
 
 
 def _inverse(matrix):

@@ -1,6 +1,8 @@
 """Frozen, slotted value classes without ``dataclasses``, whose import and
 generated methods cost a fresh CLI interpreter more than many answers."""
 
+from operator import attrgetter
+
 
 class Record:
     """Base of frozen, slotted value classes.
@@ -26,16 +28,24 @@ class Record:
         for name in fields:
             object.__setattr__(self, name, values[name])
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # attrgetter returns the tuple of two or more fields' values
+        if len(cls.__match_args__) > 1:
+            cls._get_values = staticmethod(attrgetter(*cls.__match_args__))
+
     def _values(self):
         return tuple([getattr(self, name) for name in self.__match_args__])
+
+    _get_values = staticmethod(_values)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._get_values(self) == other._get_values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._get_values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

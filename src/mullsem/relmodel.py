@@ -46,9 +46,7 @@ class Elem(Record):
         if type(other) is not type(self):
             return NotImplemented
         return self is other or (
-            self._hash == other._hash
-            and all(getattr(self, f) == getattr(other, f)
-                    for f in self.__match_args__))
+            self._hash == other._hash and self._values() == other._values())
 
     def __hash__(self):
         return self._hash
@@ -143,29 +141,35 @@ UNIT = Unit()
 
 
 def sort_key(e):
-    """Total-order key of a carrier member.
+    """Total-order key of a carrier member: a flat preorder code, each
+    constructor's tag (a Bag's also its size) before its children's.
 
-    An element's key is computed from its children's keys the first
-    time it is asked for, and kept in the element.  Carriers may also
-    hold plain labels (symbolic finite sets), which order by repr before
-    elements.
+    No code is a prefix of another, so the codes order elements as the
+    nested tuples (tag, child keys...) would, in one C loop at any depth.
+    A key is built from the children's keys on first use, and kept.
+    Plain labels (symbolic finite sets) order by repr before elements.
     """
     if not isinstance(e, Elem):
         return (-1, repr(e))
-    try:
-        return e._key
-    except AttributeError:
-        pass
-    # one frame per level, as in render_elem
-    t = type(e)
-    if t is Pair:
-        key = (3, sort_key(e.first), sort_key(e.second))
+    key = getattr(e, "_key", None)
+    if key is not None:
+        return key
+    # loops down chains of Fold, InR and InL to a kept key, as
+    # fold_depth does, and recurses only at Pair and Bag
+    x, tags = e, []
+    while isinstance(x, _Wrapper) and not hasattr(x, "_key"):
+        tags.append(x._TAG)
+        x = x.value
+    t = type(x)
+    if x is not e:
+        tail = sort_key(x)
+    elif t is Pair:
+        tail = (3, *sort_key(x.first), *sort_key(x.second))
     elif t is Bag:
-        key = (4, len(e.items), tuple([sort_key(x) for x in e.items]))
-    elif t is Unit:
-        key = (0,)
-    else:  # InL, InR or Fold
-        key = (e._TAG, sort_key(e.value))
+        tail = (4, len(x.items), *[k for i in x.items for k in sort_key(i)])
+    else:  # Unit
+        tail = (0,)
+    key = (*tags, *tail)
     _set_key(e, key)
     return key
 

@@ -20,8 +20,8 @@ from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       fold)
 from .lattice import FiniteLattice, iterate
 from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER, _bag,
-                       _fixpoint_chain, _interning, _product, bit_indices,
-                       fold_depth, sum_carrier)
+                       _fixpoint_chain, _interning, _product, _sum,
+                       bit_indices, fold_depth)
 
 TRANSVERSAL_BOUND = 12
 
@@ -301,7 +301,7 @@ def _tensor(budgets, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
 
 
 def _plus(budgets, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
-    carrier = sum_carrier(sa.carrier, sb.carrier)
+    carrier = _sum(budgets, sa.carrier, sb.carrier)
     if sa.family.is_full_family() or sb.family.is_full_family():
         minima = (0,)  # the empty set absorbs the other side
     else:
@@ -317,7 +317,7 @@ def _with(budgets, sa: TotalitySpace, sb: TotalitySpace) -> TotalitySpace:
         raise BudgetExceeded(
             f"& of {ma} x {mb} minimal sets ({ma * mb}) exceeds "
             f"cap {budgets.carrier_cap}")
-    carrier = sum_carrier(sa.carrier, sb.carrier)
+    carrier = _sum(budgets, sa.carrier, sb.carrier)
     na = len(sa.carrier)
     # antichains on disjoint supports: their product is an antichain,
     # and ascending in (y, x) is ascending as masks

@@ -643,7 +643,7 @@ def parse_funexpr(text: str) -> FunExpr:
 
 # Deepest expression a .fx line may hold, within Python's recursion limit:
 # the walks over scalar expressions recurse once per level (composition
-# adds heights, a derivative doubles them), the parser thrice per "(".
+# adds heights), the parser thrice per "(".
 MAX_SCALAR_HEIGHT = 100
 
 

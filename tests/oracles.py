@@ -182,6 +182,47 @@ def solve_linear(rows, rhs):
     return [aug[r][n] for r in range(n)]
 
 
+def monomial_expansion(expr):
+    """A polynomial scalar expression expanded into {monomial:
+    coefficient}, a monomial being a sorted tuple of (coordinate,
+    exponent) pairs."""
+    from mullsem.wrel import SAdd, SConst, SCoord, SMul
+    match expr:
+        case SConst(v):
+            return {(): Fraction(v)} if v else {}
+        case SCoord(name):
+            return {((name, 1),): Fraction(1)}
+        case SAdd(a, b):
+            out = dict(monomial_expansion(a))
+            for mono, coef in monomial_expansion(b).items():
+                out[mono] = out.get(mono, 0) + coef
+            return out
+        case SMul(a, b):
+            out = {}
+            for ma, ca in monomial_expansion(a).items():
+                for mb, cb in monomial_expansion(b).items():
+                    powers = dict(ma)
+                    for name, k in mb:
+                        powers[name] = powers.get(name, 0) + k
+                    mono = tuple(sorted(powers.items()))
+                    out[mono] = out.get(mono, 0) + ca * cb
+            return out
+    raise TypeError(expr)
+
+
+def expanded_partials(expr, point):
+    """The non-zero partial derivatives {j: df/dx_j} of a polynomial
+    scalar expression at point, term by term from its expansion."""
+    partials = {}
+    for mono, coef in monomial_expansion(expr).items():
+        for j, k in mono:
+            term = coef * k
+            for name, e in mono:
+                term *= Fraction(point[name]) ** (e - (name == j))
+            partials[j] = partials.get(j, 0) + term
+    return {j: d for j, d in partials.items() if d}
+
+
 def oracle_bipolar(gens, x):
     """Vertex-enumeration decision of x in G^~~ over the pole [0,1].
 

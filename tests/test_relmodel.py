@@ -463,6 +463,13 @@ def _recursive_sort_key(e):
     return (-1, repr(e))
 
 
+def _flat_key(key):
+    """A nested reference key as the flat preorder code of sort_key."""
+    return tuple(part for item in key
+                 for part in (_flat_key(item) if isinstance(item, tuple)
+                              else (item,)))
+
+
 def _random_elem(rng, depth):
     """A random nested element; plain labels (str or int) at the leaves."""
     kind = rng.choice(["label", "unit", "inl", "inr", "fold", "pair", "bag"]
@@ -1020,7 +1027,7 @@ class TestLazyKeys:
         ordered = sorted(parts, key=lambda p: len(_reference_render(p)),
                          reverse=parents_first)
         keys = [sort_key(p) for p in ordered]
-        assert keys == [_recursive_sort_key(p) for p in ordered]
+        assert keys == [_flat_key(_recursive_sort_key(p)) for p in ordered]
         assert all(p._key is k for p, k in zip(ordered, keys))
         assert [sort_key(p) for p in ordered] == keys
 
@@ -1028,7 +1035,22 @@ class TestLazyKeys:
         rng = random.Random(20261020)
         for _ in range(300):
             e = _random_elem(rng, 5)
-            assert sort_key(e) == _recursive_sort_key(e)
+            assert sort_key(e) == _flat_key(_recursive_sort_key(e))
+
+    @pytest.mark.parametrize("depth", [450, 600])
+    def test_deep_elements_sort_without_recursion(self, depth):
+        # the deepest element nests 2 * depth constructors, past the
+        # recursion limit for a key built or compared level by level
+        def deep_carrier():
+            return interpret_carrier(parse("mu x. 1 + x"), budgets=Budgets(
+                depth=depth, carrier_cap=10 ** 6))
+
+        for order in (list, lambda elems: elems[::-1]):
+            c = deep_carrier()
+            assert Carrier(order(c.elems)).elems == c.elems
+        deepest = deep_carrier().elems[-2:]
+        assert [fold_depth(e) for e in deepest] == [depth - 1, depth]
+        assert Bag(deepest[::-1]).items == deepest
 
     def test_pickle_replace_and_frozen_key(self):
         e = Pair(Fold(InL(UNIT)), InR("a"))
@@ -1041,10 +1063,10 @@ class TestLazyKeys:
             # pickling rebuilds through the constructor: no key travels
             copy = pickle.loads(pickle.dumps(e))
             assert copy == e and not _has_key(copy)
-            assert sort_key(copy) == _recursive_sort_key(e)
+            assert sort_key(copy) == _flat_key(_recursive_sort_key(e))
             assert _has_key(e) is kept
             sort_key(e)
         swapped = Pair(e.first, InL("b"))
         assert not _has_key(swapped)
-        assert sort_key(swapped) == _recursive_sort_key(swapped) \
+        assert sort_key(swapped) == _flat_key(_recursive_sort_key(swapped)) \
             < sort_key(e)

@@ -478,6 +478,20 @@ class TestWithBudget:
         with pytest.raises(BudgetExceeded, match="& of 2 x 2 minimal sets"):
             interpret_totality(parse(text), {}, Budgets(carrier_cap=3))
 
+    @pytest.mark.parametrize("text", [
+        "(mu x. 1 + x * x) + (1 + 1 + 1 + 1 + 1)",
+        "(mu x. 1 + x * x) & ~(1 + 1 + 1 + 1 + 1)"])
+    def test_sum_carriers_keep_the_carrier_cap(self, text):
+        # 26 + 5 elements: + and & build their carrier under the same
+        # guard as the relational model, which refuses it
+        budgets = Budgets(depth=4, carrier_cap=30)
+        message = "^carrier of size 31 exceeds cap 30$"
+        for interpret in (interpret_carrier, interpret_totality):
+            with pytest.raises(BudgetExceeded, match=message):
+                interpret(parse(text), budgets=budgets)
+        assert len(interpret_totality(parse(text), budgets=Budgets(
+            depth=4, carrier_cap=31)).carrier) == 31
+
 
 class TestForgetfulStrictness:
     """The carrier of every totality interpretation is the relational
@@ -874,7 +888,9 @@ class TestPenultimateStep:
                 assert not interpret_carrier(parse(text), {},
                                              budgets).stabilized, text
                 counts["flag"] += 1
-        assert counts == {"equal": 95, "flag": 1, "new": 31}
+        # the reference refuses mu x. nu y. 1 + x * (1 + 1) + y at depth 3:
+        # its step builds a sum carrier of 1036 elements, past the cap
+        assert counts == {"equal": 94, "flag": 1, "new": 32}
 
     def test_random_formulas_where_the_chain_stabilized(self, monkeypatch):
         rng = random.Random(20261019)

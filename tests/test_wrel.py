@@ -4,23 +4,23 @@ from itertools import product as iproduct
 
 import pytest
 
-from oracles import oracle_bipolar
+from oracles import expanded_partials, oracle_bipolar
 from mullsem.errors import (BudgetExceeded, DimensionCap, EmptyGenerators,
                             FileFormatError, IndexMismatch, PreconditionFailed)
 from mullsem.relmodel import Carrier, Relation, compose_rel
 from mullsem.semiring import (BOOL, INF, NINF, RFLOAT, RINF,
                               check_semiring_laws)
 from mullsem.newton import (NEWTON_DIMENSION_CAP, CertifiedResult,
-                            certified_fixpoint)
+                            _linearize, certified_fixpoint)
 from mullsem.wrel import (ChainCounterexample, DownsetClosed, FunExpr,
                           KleeneResult, PoleSpec, SAdd, SConst, SCoord, SMul,
                           SemiringMatrix, Verdict, bipolar_member,
                           bipolar_member_matrix, check_uniformity, compose,
-                          identity_matrix, is_admissible_pole, kleene_fixpoint,
-                          matrix_to_relation, nat_pole, orthogonal_pair,
-                          parse_funexpr, parse_matrix, parse_vector, pcoh_pole,
-                          relation_to_matrix, render_matrix, totality_pole,
-                          vector)
+                          eval_scalar, identity_matrix, is_admissible_pole,
+                          kleene_fixpoint, matrix_to_relation, nat_pole,
+                          orthogonal_pair, parse_funexpr, parse_matrix,
+                          parse_vector, pcoh_pole, relation_to_matrix,
+                          render_matrix, totality_pole, vector)
 
 
 class TestSemirings:
@@ -439,6 +439,58 @@ class TestCertifiedFixpoint:
         f = parse_funexpr("x: 1/2 + 1/2*x*x")
         g = parse_funexpr("y: 1 + 1/4*y*y")
         assert check_uniformity(h, f, g, 1e-9)
+
+
+def _random_polynomial(rng, leaves):
+    """A random scalar expression with the given number of leaves, over
+    the coordinates x, y, z and small non-negative constants."""
+    if leaves == 1:
+        if rng.random() < 0.4:
+            return SConst(rng.choice((F(0), F(1, 3), F(1, 2), F(1), F(2))))
+        return SCoord(rng.choice("xyz"))
+    left = rng.randrange(1, leaves)
+    ctor = rng.choice((SAdd, SMul))
+    return ctor(_random_polynomial(rng, left),
+                _random_polynomial(rng, leaves - left))
+
+
+def _random_point(rng):
+    return {n: rng.choice((F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(3)))
+            for n in "xyz"}
+
+
+class TestLinearize:
+    """A Newton step's image f(x) and Jacobian f'(x) come from one exact
+    forward pass, checked against eval_scalar and a monomial
+    expansion."""
+
+    def _check(self, expr, point):
+        value, partials = _linearize(expr, point)
+        assert value == eval_scalar(expr, point, RINF)
+        assert partials == expanded_partials(expr, point)
+        assert all(d > 0 for d in partials.values())
+
+    def test_random_polynomials(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            expr = _random_polynomial(rng, rng.randint(1, 12))
+            self._check(expr, _random_point(rng))
+
+    def test_product_chain_of_height_100(self):
+        rng = random.Random(100)
+        for _ in range(5):
+            expr = _random_polynomial(rng, 2)
+            for _ in range(99):
+                factor = _random_polynomial(rng, rng.choice((1, 2)))
+                expr = SMul(expr, factor) if rng.random() < 0.5 \
+                    else SMul(factor, expr)
+            self._check(expr, _random_point(rng))
+
+    def test_zero_factor_drops_partials(self):
+        x, y = SCoord("x"), SCoord("y")
+        expr = SAdd(SMul(x, y), SMul(SConst(F(0)), x))
+        assert _linearize(expr, {"x": F(0), "y": F(0)}) == (0, {})
+        assert _linearize(expr, {"x": F(2), "y": F(0)}) == (0, {"y": 2})
 
 
 class TestAdmissibility:
