@@ -162,15 +162,13 @@ def cmd_interp(args):
         from .phase import interpret_phase, parse_phase_space
         space = parse_phase_space(_read(args.space))
         fact = interpret_phase(space, f, {})
+        fact = [e for e in space.elements if e in fact]  # in element order
         valid = space.unit in fact  # phase.holds, without a second fold
         payload = {"command": "interp", "model": "phase",
                    "formula": to_text(f), "budgets": budget_info,
-                   "space": space.to_dict(),
-                   "fact": sorted(fact, key=space.elements.index),
-                   "holds": valid,
+                   "space": space.to_dict(), "fact": fact, "holds": valid,
                    "stabilized": True}  # the fact lattice is finite and exact
-        lines = [f"fact: {{{', '.join(sorted(fact, key=space.elements.index))}}}",
-                 f"holds: {valid}"]
+        lines = [f"fact: {{{', '.join(fact)}}}", f"holds: {valid}"]
         return _emit(args, payload, lines)
     # wrel: the weighted models share objects with the relational model;
     # report the carrier with its boolean characteristic vector

@@ -65,9 +65,6 @@ class FinCategory:
         return [m for m in self.morphisms.values()
                 if m.dom == dom and m.cod == cod]
 
-    def all_morphisms(self):
-        return list(self.morphisms.values())
-
     def validate(self):
         for m in self.morphisms.values():
             if m.dom not in self.objects or m.cod not in self.objects:

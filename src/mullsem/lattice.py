@@ -149,18 +149,17 @@ def iterate(step, start, budget, same=operator.eq):
     raise IterationBudgetExceeded(budget, last=x)
 
 
-def lfp(op: MonotoneOp, max_iter=None):
+def lfp(op: MonotoneOp):
     """Least fixpoint of a monotone operator, by ascending iteration.
 
     The result r satisfies op(r) = r and r <= s for every pre-fixpoint
     op(s) <= s.  On a finite lattice the iteration from bottom always
-    stabilizes; the budget guards adapters over non-finite fibers.
+    stabilizes within len(lattice) + 1 steps; the budget guards
+    adapters over non-finite fibers.
     """
-    budget = max_iter if max_iter is not None else len(op.lattice) + 1
-    return iterate(op, op.lattice.bottom, budget)
+    return iterate(op, op.lattice.bottom, len(op.lattice) + 1)
 
 
-def gfp(op: MonotoneOp, max_iter=None):
+def gfp(op: MonotoneOp):
     """Greatest fixpoint, by descending iteration from top (dual of lfp)."""
-    budget = max_iter if max_iter is not None else len(op.lattice) + 1
-    return iterate(op, op.lattice.top, budget)
+    return iterate(op, op.lattice.top, len(op.lattice) + 1)

@@ -22,99 +22,80 @@ from .lattice import iterate
 class PhaseSpace:
     """A finite commutative monoid with a pole subset.
 
-    The monoid laws are checked exhaustively on construction; a
-    ValueError carries the full list of violations.
+    A space is its flat table: element i times element j is element
+    ``_table[i * n + j]``, and the pole is a bitmask of indices.  The
+    monoid laws are checked exhaustively on construction; a ValueError
+    carries the full list of violations.
     """
 
     __slots__ = ("elements", "unit", "_index", "_table", "_pole_mask",
                  "_unit_index", "_batch")
 
     def __init__(self, elements, unit, table, pole):
-        self.elements = tuple(elements)
-        self.unit = unit
+        elements = tuple(elements)
         table = dict(table)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        if len(self._index) != n:
+        index = {e: i for i, e in enumerate(elements)}
+        if len(index) != len(elements):
             raise ValueError("duplicate element names")
-        violations = []
-        if unit not in self._index:
-            violations.append(f"unit {unit!r} is not an element")
-        self._pole_mask = 0
-        for e in frozenset(pole):
-            if e in self._index:
-                self._pole_mask |= 1 << self._index[e]
-            else:
-                violations.append(f"pole member {e!r} is not an element")
-        flat = [0] * (n * n)
+        pole = frozenset(pole)
+        violations = [] if unit in index else [
+            f"unit {unit!r} is not an element"]
+        violations += [f"pole member {e!r} is not an element"
+                       for e in pole if e not in index]
+        pole_mask = sum(1 << index[e] for e in pole if e in index)
+        flat = []
         if not violations:
-            for a in self.elements:
-                for b in self.elements:
-                    if (a, b) not in table and (b, a) not in table:
-                        # unit products follow from the unit law
-                        if a == unit:
-                            table[(a, b)] = b
-                        elif b == unit:
-                            table[(a, b)] = a
-                        else:
-                            violations.append(f"product {a!r}*{b!r} is undefined")
-                            continue
+            for a in elements:
+                for b in elements:
                     ab = table.get((a, b), table.get((b, a)))
-                    if ab not in self._index:
+                    if ab is None:
+                        # unit products follow from the unit law
+                        ab = b if a == unit else a if b == unit else None
+                    if ab is None:
+                        violations.append(f"product {a!r}*{b!r} is undefined")
+                    elif ab not in index:
                         violations.append(f"product {a!r}*{b!r} = {ab!r} "
                                           "is not an element")
-                        continue
-                    flat[self._index[a] * n + self._index[b]] = self._index[ab]
-            for (a, b), ab in table.items():
-                if (b, a) in table and table[(b, a)] != ab:
-                    violations.append(f"commutativity fails on {a!r},{b!r}")
-        self._table = tuple(flat)
-        self._unit_index = self._index.get(unit, 0)
-        self._batch = None
+                    else:
+                        flat.append(index[ab])
         if not violations:
-            violations.extend(self._law_violations())
-        if violations:
-            raise ValueError("not a commutative monoid with pole: "
-                             + "; ".join(violations))
+            self._init(elements, index[unit], tuple(flat), pole_mask, index)
+            violations = self._law_violations()
+        _refuse(violations)
+
+    def _init(self, elements, unit_index, table, pole_mask, index=None):
+        """Set every field of a space; the one place that does."""
+        self.elements = elements
+        self.unit = elements[unit_index]
+        self._index = index or {e: i for i, e in enumerate(elements)}
+        self._table = table
+        self._unit_index = unit_index
+        self._pole_mask = pole_mask
+        # the facts depend on the pole: each space folds in its own batch
+        self._batch = None
 
     def _with_pole(self, pole_mask: int) -> "PhaseSpace":
-        """The same monoid with the pole given as a bitmask of indices.
-
-        Shares this space's already checked table, so the law check of
-        the public constructor is not repeated for each pole.
-        """
+        """The same checked monoid under a pole given as a bitmask of
+        indices: the law check is not repeated for each pole."""
         space = object.__new__(PhaseSpace)
-        space.elements = self.elements
-        space.unit = self.unit
-        space._index = self._index
-        space._table = self._table
-        space._unit_index = self._unit_index
-        space._pole_mask = pole_mask
-        # the facts depend on the pole: a variant folds in its own batch
-        space._batch = None
+        space._init(self.elements, self._unit_index, self._table, pole_mask,
+                    self._index)
         return space
 
     def _law_violations(self):
-        out = []
-        n = len(self.elements)
-        t = self._table
+        """The one check of the monoid laws, on the flat table: the
+        unit, commutativity and associativity failures in element order."""
+        e = self.elements
+        n = len(e)
+        rows = [self._table[i * n:i * n + n] for i in range(n)]
         u = self._unit_index
-        for i in range(n):
-            if t[u * n + i] != i or t[i * n + u] != i:
-                out.append(f"unit law fails on {self.elements[i]!r}")
-        for i in range(n):
-            for j in range(n):
-                if t[i * n + j] != t[j * n + i]:
-                    out.append(f"commutativity fails on "
-                               f"{self.elements[i]!r},{self.elements[j]!r}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[t[i * n + j] * n + k] != t[i * n + t[j * n + k]]:
-                        out.append(
-                            "associativity fails on "
-                            f"{self.elements[i]!r},{self.elements[j]!r},"
-                            f"{self.elements[k]!r}")
+        out = [f"unit law fails on {e[i]!r}" for i in range(n)
+               if rows[u][i] != i or rows[i][u] != i]
+        out += [f"commutativity fails on {e[i]!r},{e[j]!r}"
+                for i in range(n) for j in range(n) if rows[i][j] != rows[j][i]]
+        out += [f"associativity fails on {e[i]!r},{e[j]!r},{e[k]!r}"
+                for i in range(n) for j in range(n) for k in range(n)
+                if rows[rows[i][j]][k] != rows[i][rows[j][k]]]
         return out
 
     @property
@@ -136,7 +117,11 @@ class PhaseSpace:
         return m
 
     def set_of(self, mask):
-        return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
+        return frozenset(self._names(mask))
+
+    def _names(self, mask):
+        """The elements of a bitmask, in element order."""
+        return [e for i, e in enumerate(self.elements) if mask >> i & 1]
 
     def batch(self) -> "PoleBatch":
         """This space as the batch of its one pole, made on first use.
@@ -159,18 +144,28 @@ class PhaseSpace:
         return self.batch().orthogonal(mask)
 
     def to_dict(self):
+        """Elements, unit, products a*b with a not after b, and pole, all
+        in element order."""
+        e = self.elements
+        n = len(e)
+        t = self._table
         return {
-            "elements": list(self.elements),
+            "elements": list(e),
             "unit": self.unit,
-            "table": [[a, b, self.mul(a, b)] for a in self.elements
-                      for b in self.elements if
-                      self.elements.index(a) <= self.elements.index(b)],
-            "pole": sorted(self.pole, key=self.elements.index),
+            "table": [[e[i], e[j], e[t[i * n + j]]]
+                      for i in range(n) for j in range(i, n)],
+            "pole": self._names(self._pole_mask),
         }
 
     def __repr__(self):
         return (f"PhaseSpace({'|'.join(self.elements)}, unit={self.unit}, "
-                f"pole={{{','.join(sorted(self.pole, key=self.elements.index))}}})")
+                f"pole={{{','.join(self._names(self._pole_mask))}}})")
+
+
+def _refuse(violations):
+    if violations:
+        raise ValueError("not a commutative monoid with pole: "
+                         + "; ".join(violations))
 
 
 _BATCH_LOCK = Lock()
@@ -422,11 +417,12 @@ def enumerate_commutative_monoids(n: int):
 
 
 def space_from_table(flat, n, pole_mask) -> PhaseSpace:
-    names = _NAMES[:n]
-    table = {(names[i], names[j]): names[flat[i * n + j]]
-             for i in range(n) for j in range(n)}
-    pole = [names[i] for i in range(n) if pole_mask >> i & 1]
-    return PhaseSpace(names, names[0], table, pole)
+    """The space of a flat index table over the first n of _NAMES, with
+    element 0 as its unit; ValueError when the laws fail."""
+    space = object.__new__(PhaseSpace)
+    space._init(_NAMES[:n], 0, tuple(flat), pole_mask)
+    _refuse(space._law_violations())
+    return space
 
 
 def enumerate_spaces(max_size: int):
@@ -512,10 +508,8 @@ def parse_phase_space(text: str) -> PhaseSpace:
 
 
 def render_phase_space(space: PhaseSpace) -> str:
-    lines = ["elements " + " ".join(space.elements), f"unit {space.unit}"]
-    for i, a in enumerate(space.elements):
-        for b in space.elements[i:]:
-            lines.append(f"mul {a} {b} {space.mul(a, b)}")
-    lines.append("pole " + " ".join(sorted(space.pole,
-                                           key=space.elements.index)))
+    d = space.to_dict()
+    lines = ["elements " + " ".join(d["elements"]), f"unit {d['unit']}"]
+    lines += [f"mul {a} {b} {ab}" for a, b, ab in d["table"]]
+    lines.append("pole " + " ".join(d["pole"]))
     return "\n".join(lines) + "\n"

@@ -245,7 +245,7 @@ class Carrier:
     fixpoint-free carriers).
     """
 
-    __slots__ = ("elems", "stabilized", "_index", "_hash")
+    __slots__ = ("elems", "stabilized", "_index")
 
     def __init__(self, elems, stabilized=True):
         # dict.fromkeys drops duplicates but keeps the input order, so
@@ -254,7 +254,6 @@ class Carrier:
         self.elems = tuple(sorted(dict.fromkeys(elems), key=sort_key))
         self.stabilized = stabilized
         self._index = None
-        self._hash = None
 
     @classmethod
     def _ordered(cls, elems: tuple, stabilized=True) -> "Carrier":
@@ -267,7 +266,6 @@ class Carrier:
         carrier.elems = elems
         carrier.stabilized = stabilized
         carrier._index = None
-        carrier._hash = None
         return carrier
 
     def index(self, e: Elem) -> int:
@@ -301,14 +299,10 @@ class Carrier:
         return isinstance(other, Carrier) and self.elems == other.elems
 
     def __hash__(self):
-        # computed once: hashing the elements runs one call per element
-        if self._hash is None:
-            self._hash = hash(self.elems)
-        return self._hash
+        return hash(self.elems)
 
     def __reduce__(self):
-        # string hashes differ between processes, so the cached hash
-        # is not pickled
+        # the element index is rebuilt on first use, so it is not pickled
         return Carrier._ordered, (self.elems, self.stabilized)
 
     def __repr__(self):

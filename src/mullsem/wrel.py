@@ -267,7 +267,7 @@ def is_admissible_pole(pole: PoleSpec) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 # bipolar membership over the probabilistic pole
 
-def bipolar_member(generators, x, dim_cap: int = POLAR_DIMENSION_CAP) -> bool:
+def bipolar_member(generators, x) -> bool:
     """Decide x in G^~~ for the pole [0,1]: sup { <x,y> : y in polar(G) } <= 1.
 
     Inputs are sequences of non-negative exact rationals of equal
@@ -279,8 +279,8 @@ def bipolar_member(generators, x, dim_cap: int = POLAR_DIMENSION_CAP) -> bool:
     if not gens:
         raise EmptyGenerators()
     dim = len(point)
-    if dim > dim_cap:
-        raise DimensionCap(dim, dim_cap)
+    if dim > POLAR_DIMENSION_CAP:
+        raise DimensionCap(dim, POLAR_DIMENSION_CAP)
     if any(len(g) != dim for g in gens):
         raise IndexMismatch("generator dimension differs from the point")
     if any(v < 0 for g in gens for v in g) or any(v < 0 for v in point):
@@ -303,8 +303,8 @@ def bipolar_member(generators, x, dim_cap: int = POLAR_DIMENSION_CAP) -> bool:
     return value <= 1
 
 
-def bipolar_member_matrix(generators: SemiringMatrix, x: SemiringMatrix,
-                          dim_cap: int = POLAR_DIMENSION_CAP) -> bool:
+def bipolar_member_matrix(generators: SemiringMatrix,
+                          x: SemiringMatrix) -> bool:
     """Matrix-level wrapper: rows of ``generators`` are the generators."""
     if generators.cols != x.cols:
         raise IndexMismatch("generators and point on different index sets")
@@ -313,7 +313,7 @@ def bipolar_member_matrix(generators: SemiringMatrix, x: SemiringMatrix,
     point = [x.get(VECTOR_ROW, c) for c in x.cols]
     if any(v is INF for g in gens for v in g) or any(v is INF for v in point):
         raise ValueError("polar membership needs finite rational entries")
-    return bipolar_member(gens, point, dim_cap)
+    return bipolar_member(gens, point)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ class TestFixpoints:
         op = MonotoneOp(lat, lambda x: x)
         op.fn = lambda x: x + 1  # deliberately escapes the lattice
         with pytest.raises(IterationBudgetExceeded) as info:
-            lfp(op, max_iter=10)
-        assert info.value.budget == 10
+            lfp(op)
+        assert info.value.budget == len(lat) + 1
         assert info.value.last is not None
 
 

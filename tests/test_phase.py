@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -469,6 +470,74 @@ class TestFileFormat:
         space = parse_phase_space(
             "elements e\nunit e\nmul e e e\npole\n")
         assert space.pole == frozenset()
+
+    def test_input_diagnostics(self):
+        for args, message in [
+                ((("e", "a"), "x", {}, ()), "unit 'x' is not an element"),
+                ((("e", "a"), "e", {}, ("z",)),
+                 "pole member 'z' is not an element"),
+                ((("e", "a"), "e", {("a", "a"): "q"}, ()),
+                 "product 'a'*'a' = 'q' is not an element"),
+                ((("e", "a", "a"), "e", {}, ()), "duplicate element names")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                PhaseSpace(*args)
+        # omitted unit products follow from the unit law
+        space = PhaseSpace(("e", "a"), "e", {("a", "a"): "a"}, ("a",))
+        assert space.to_dict()["table"] == [["e", "e", "e"], ["e", "a", "a"],
+                                            ["a", "a", "a"]]
+
+
+class TestFlatPath:
+    """Spaces built from flat tables against the same spaces parsed from
+    their rendered text."""
+
+    FORMULAS = [parse(text) for text in
+                ("1", "bot", "1 -o bot", "!1 -o !1", "bot -o ?bot",
+                 "nu x. 1 & x", "mu x. ?x", "(1 + bot) * ~bot")]
+
+    def test_every_space_up_to_order_4_matches_its_text(self):
+        count = 0
+        for n in (1, 2, 3, 4):
+            names = phase._NAMES[:n]
+            for flat in enumerate_commutative_monoids(n):
+                products = [[names[i], names[j], names[flat[i * n + j]]]
+                            for i in range(n) for j in range(i, n)]
+                for mask in range(1 << n):
+                    space = space_from_table(flat, n, mask)
+                    text = render_phase_space(space)
+                    parsed = parse_phase_space(text)
+                    assert space.to_dict() == parsed.to_dict() == {
+                        "elements": list(names), "unit": "e",
+                        "table": products,
+                        "pole": [x for i, x in enumerate(names)
+                                 if mask >> i & 1]}
+                    assert repr(space) == repr(parsed)
+                    assert render_phase_space(parsed) == text
+                    assert [interpret_phase(space, f) for f in self.FORMULAS] \
+                        == [interpret_phase(parsed, f) for f in self.FORMULAS]
+                    count += 1
+        assert count == 354
+
+    @pytest.mark.parametrize("flat, n, law", [
+        ((1, 1, 1, 0), 2, "unit law fails on 'e'"),
+        # a left-zero band with a unit: associative, not commutative
+        ((0, 1, 2, 1, 1, 1, 2, 2, 2), 3,
+         "commutativity fails on 'a','b'; commutativity fails on 'b','a'"),
+        # test_law_violation_reported's table
+        ((0, 1, 2, 1, 2, 1, 2, 1, 1), 3, "associativity fails on 'a','a','b'"),
+    ])
+    def test_broken_law_is_named(self, flat, n, law):
+        with pytest.raises(ValueError) as flat_error:
+            space_from_table(flat, n, 0)
+        assert str(flat_error.value).startswith(
+            "not a commutative monoid with pole: ")
+        assert law in str(flat_error.value)
+        # the named constructor runs the same check on the same table
+        names = phase._NAMES[:n]
+        with pytest.raises(ValueError) as named_error:
+            PhaseSpace(names, "e", {(names[i], names[j]): names[flat[i * n + j]]
+                                    for i in range(n) for j in range(n)}, ())
+        assert str(named_error.value) == str(flat_error.value)
 
 
 class TestVarianceOfCorpus:
