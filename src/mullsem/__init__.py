@@ -18,22 +18,23 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "budgets": ("Budgets", "DEFAULT_BUDGETS"),
+    "fibration": ("FiniteLattice", "MonotoneOp", "check_total_morphism",
+                  "compose_rel", "functor_on_relations", "gfp", "lfp"),
     "formula": ("Bot", "Context", "EMPTY_CONTEXT", "Formula", "Lolli", "Mu",
                 "Neg", "Nu", "OfCourse", "One", "Par", "Plus", "Sort",
                 "Tensor", "Top", "Var", "WhyNot", "With", "Zero", "alpha_eq",
                 "check_variance", "free_vars", "nnf", "parse", "substitute",
                 "to_text"),
-    "lattice": ("FiniteLattice", "MonotoneOp", "gfp", "lfp"),
-    "newton": ("CertifiedResult", "certified_fixpoint"),
+    "newton": ("CertifiedResult", "FunExpr", "certified_fixpoint",
+               "check_uniformity", "kleene_fixpoint"),
     "phase": ("PhaseSpace", "fact_closure", "holds", "interpret_phase",
               "parse_phase_space", "search_counter_model"),
-    "relmodel": ("Carrier", "Elem", "Relation", "compose_rel",
-                 "functor_on_relations", "interpret_carrier"),
+    "poles": ("PoleSpec", "SemiringMatrix", "Verdict", "bipolar_member",
+              "is_admissible_pole"),
+    "relmodel": ("Carrier", "Elem", "Relation", "interpret_carrier"),
     "totality": ("TotalitySpace", "UpFamily", "biclosure",
-                 "check_total_morphism", "interpret_totality", "orthogonal"),
-    "wrel": ("FunExpr", "PoleSpec", "SemiringMatrix", "Verdict",
-             "bipolar_member", "check_uniformity", "compose",
-             "is_admissible_pole", "kleene_fixpoint", "orthogonal_pair"),
+                 "interpret_totality", "orthogonal"),
+    "wrel": ("compose", "orthogonal_pair"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

@@ -1,20 +1,28 @@
-"""Least fixpoints of polynomial maps, certified by Newton steps.
+"""Polynomial systems over the non-negative reals and their least fixpoints.
 
-``certified_fixpoint`` brackets the least fixpoint of a ``wrel.FunExpr``
-between two exact rational points.  It lives apart from ``wrel`` so that
-the commands that need no fixpoint do not load it.
+A ``FunExpr`` maps finite coordinate sets by one scalar expression per
+output, built from constants, + and *; ``.fx`` files hold one such
+expression per coordinate.  ``kleene_fixpoint`` iterates from zero,
+``certified_fixpoint`` brackets the least fixpoint between two exact
+rational points by Newton steps, and ``check_uniformity`` checks the
+uniformity square of the fixpoint operator.  The ``fix`` command loads
+this module, and not the matrices and poles of ``poles``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product as iproduct
 
-from .errors import BudgetExceeded, IndexMismatch
-from .semiring import RINF
-from .wrel import (FunExpr, KleeneResult, SAdd, SConst, SCoord, SMul,
-                   ScalarExpr, _float, eval_scalar, kleene_fixpoint)
+from .errors import (BudgetExceeded, FileFormatError, IndexMismatch,
+                     PreconditionFailed)
+from .record import Record
+from .semiring import INF, RFLOAT, RINF, Semiring
 
+# bits of a numerator or denominator of an exact fixpoint iterate; on a
+# polynomial system they can double at every step
+EXACT_BITS_CAP = 1 << 16
 # bits after the binary point of a Newton iterate, at least; a tolerance
 # finer than 2^-32 adds its own bits
 NEWTON_BITS = 64
@@ -22,6 +30,379 @@ NEWTON_BITS = 64
 # step inverts an n x n matrix of Fractions
 NEWTON_DIMENSION_CAP = 8
 
+
+# ---------------------------------------------------------------------------
+# function expressions and the uniform fixpoint operator
+
+class ScalarExpr(Record):
+    __slots__ = ()
+
+
+class SConst(ScalarExpr):
+    __slots__ = __match_args__ = ("value",)
+
+
+class SCoord(ScalarExpr):
+    __slots__ = __match_args__ = ("name",)
+
+
+class SAdd(ScalarExpr):
+    __slots__ = __match_args__ = ("left", "right")
+
+
+class SMul(ScalarExpr):
+    __slots__ = __match_args__ = ("left", "right")
+
+
+def eval_scalar(expr: ScalarExpr, point: dict, sr: Semiring):
+    match expr:
+        case SConst(v):
+            if sr is RFLOAT and isinstance(v, Fraction):
+                return _float(v)
+            return v
+        case SCoord(name):
+            return point[name]
+        case SAdd(a, b):
+            return sr.add(eval_scalar(a, point, sr), eval_scalar(b, point, sr))
+        case SMul(a, b):
+            return sr.mul(eval_scalar(a, point, sr), eval_scalar(b, point, sr))
+    raise TypeError(f"not a scalar expression: {expr!r}")
+
+
+def _float(v: Fraction) -> float:
+    """The float nearest v; inf past the largest float."""
+    try:
+        return float(v)
+    except OverflowError:
+        return float("inf")
+
+
+def subst_scalar(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
+    match expr:
+        case SConst(_):
+            return expr
+        case SCoord(name):
+            return mapping[name]
+        case SAdd(a, b):
+            return SAdd(subst_scalar(a, mapping), subst_scalar(b, mapping))
+        case SMul(a, b):
+            return SMul(subst_scalar(a, mapping), subst_scalar(b, mapping))
+    raise TypeError(f"not a scalar expression: {expr!r}")
+
+
+class FunExpr(Record):
+    """A map between finite coordinate sets, one scalar expression per output.
+
+    ``outputs`` holds pairs (name, ScalarExpr).  Built from constants, +,
+    * and composition, so every instance is a monotone continuous
+    self-map when inputs and outputs coincide.
+    """
+
+    __slots__ = __match_args__ = ("inputs", "outputs")
+
+    def output_names(self):
+        return tuple(n for n, _ in self.outputs)
+
+    def is_endo(self):
+        return set(self.inputs) == set(self.output_names())
+
+    def eval(self, point: dict, sr: Semiring) -> dict:
+        missing = [n for n in self.inputs if n not in point]
+        if missing:
+            raise IndexMismatch(f"point is missing coordinates {missing}")
+        return {n: eval_scalar(e, point, sr) for n, e in self.outputs}
+
+    def compose(self, inner: "FunExpr") -> "FunExpr":
+        """self after inner."""
+        if set(inner.output_names()) != set(self.inputs):
+            raise IndexMismatch("inner outputs do not match outer inputs")
+        table = {n: e for n, e in inner.outputs}
+        outs = tuple((n, subst_scalar(e, table)) for n, e in self.outputs)
+        return FunExpr(inner.inputs, outs)
+
+    @classmethod
+    def from_exprs(cls, pairs):
+        pairs = tuple(pairs)
+        names = tuple(n for n, _ in pairs)
+        return cls(names, pairs)
+
+
+class KleeneResult(Record):
+    __slots__ = __match_args__ = ("values", "residual", "iterations",
+                                  "stabilized", "mode")
+
+    def to_dict(self):
+        return {
+            "value": {n: _num_str(v) for n, v in sorted(self.values.items())},
+            "residual": _num_str(self.residual),
+            "iterations": self.iterations,
+            "stabilized": self.stabilized,
+            "mode": self.mode,
+        }
+
+
+def _num_str(v):
+    if v is INF:
+        return "inf"
+    if isinstance(v, Fraction):
+        return str(v)
+    return repr(float(v))
+
+
+def _diff(sr, lo, hi):
+    """hi - lo for ascending scalars, with inf - inf = 0."""
+    hi_inf = hi is INF or (isinstance(hi, float) and hi == float("inf"))
+    lo_inf = lo is INF or (isinstance(lo, float) and lo == float("inf"))
+    if hi_inf and lo_inf:
+        return sr.zero
+    if hi_inf:
+        return INF
+    return hi - lo
+
+
+def _sup_diff(sr, lo, hi, coords):
+    """The sup-norm of hi - lo over coords: INF as soon as one
+    coordinate's difference is, since INF does not compare with floats."""
+    out = sr.zero
+    for n in coords:
+        d = _diff(sr, lo[n], hi[n])
+        if d is INF:
+            return INF
+        out = max(out, d)
+    return out
+
+
+def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
+                    mode: str = "float") -> KleeneResult:
+    """Least fixpoint approximation by iteration from the zero vector.
+
+    Iterates stop when the sup-norm step drops to ``tol``; the returned
+    residual is the sup-norm of f(x) - x at the final iterate.  Raises
+    BudgetExceeded (carrying the last iterate) past ``max_iter``, and in
+    exact mode before a step from an iterate wider than EXACT_BITS_CAP.
+    """
+    if not f.is_endo():
+        raise IndexMismatch("fixpoints need an endo map")
+    sr = RFLOAT if mode == "float" else RINF
+    tol = float(tol) if mode == "float" else Fraction(tol)
+    cur = {n: sr.zero for n in f.inputs}
+    for it in range(1, max_iter + 1):
+        if mode == "exact" and _widest(cur) > EXACT_BITS_CAP:
+            raise BudgetExceeded(
+                f"iteration {it}: an exact iterate has more than "
+                f"{EXACT_BITS_CAP} bits in a numerator or denominator")
+        nxt = f.eval(cur, sr)
+        for n in f.inputs:
+            if not sr.le(cur[n], nxt[n]):
+                raise AssertionError(
+                    f"iterates are not ascending at coordinate {n!r}")
+        step = _sup_diff(sr, cur, nxt, f.inputs)
+        cur = nxt
+        if step is not INF and step <= tol:
+            return KleeneResult(cur, step, it, True, mode)
+    after = f.eval(cur, sr)
+    residual = _sup_diff(sr, cur, after, f.inputs)
+    last = KleeneResult(cur, residual, max_iter, False, mode)
+    err = BudgetExceeded(
+        f"no stabilization within {max_iter} iterations "
+        f"(residual {_num_str(residual)})")
+    err.result = last
+    raise err
+
+
+def _widest(values):
+    """Bits of the widest numerator or denominator among exact values."""
+    return max((max(v.numerator.bit_length(), v.denominator.bit_length())
+                for v in values.values() if v is not INF), default=0)
+
+
+def _sample_points(coords, sr):
+    grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
+    if sr is RFLOAT:
+        grid = [float(v) for v in grid]
+    pts = []
+    for combo in iproduct(grid, repeat=len(coords)):
+        pts.append(dict(zip(coords, combo)))
+        if len(pts) >= 64:
+            break
+    return pts
+
+
+def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
+                     max_iter: int = 10000, mode: str = "float") -> bool:
+    """Check the uniformity square for the dagger: h . f = g . h on samples,
+    then h(fixpoint(f)) = fixpoint(g) within tol.
+
+    Float mode takes each fixpoint from certified_fixpoint (the midpoint
+    of its bracket, or Kleene iteration's value where it certifies
+    none); exact mode from kleene_fixpoint.
+
+    Raises PreconditionFailed when the square already fails on samples.
+    """
+    if not f.is_endo() or not g.is_endo():
+        raise IndexMismatch("f and g must be endo maps")
+    if set(h.inputs) != set(f.inputs) or \
+            set(h.output_names()) != set(g.inputs):
+        raise IndexMismatch("h must map the domain of f to the domain of g")
+    sr = RFLOAT if mode == "float" else RINF
+    tolerance = float(tol) if mode == "float" else Fraction(tol)
+    hf = h.compose(f)
+    gh = g.compose(h)
+    for point in _sample_points(f.inputs, sr):
+        left = hf.eval(point, sr)
+        right = gh.eval(point, sr)
+        for n in h.output_names():
+            delta = abs(_as_number(left[n]) - _as_number(right[n]))
+            if delta > tolerance:
+                raise PreconditionFailed(
+                    f"h.f = g.h fails at {point} on {n!r} (delta {delta})")
+    if mode == "float":
+        fdag = certified_fixpoint(f, tol, max_iter)
+        gdag = certified_fixpoint(g, tol, max_iter)
+    else:
+        fdag = kleene_fixpoint(f, tol, max_iter, mode)
+        gdag = kleene_fixpoint(g, tol, max_iter, mode)
+    mapped = h.eval(fdag.values, sr)
+    gap = max((abs(_as_number(mapped[n]) - _as_number(gdag.values[n]))
+               for n in h.output_names()), default=0)
+    return gap <= tolerance
+
+
+def _as_number(v):
+    if v is INF:
+        return float("inf")
+    return v
+
+# ---------------------------------------------------------------------------
+# expression files:  one "name: expr" line per coordinate
+
+def parse_funexpr(text: str) -> FunExpr:
+    pairs = []
+    used = {}  # coordinates the expressions read, in order
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise FileFormatError(f"line {lineno}: expected 'name: expression'")
+        name, body = line.split(":", 1)
+        name = name.strip()
+        if not name.isidentifier():
+            raise FileFormatError(f"line {lineno}: bad coordinate name {name!r}")
+        pairs.append((name, _parse_scalar(body, lineno, used)))
+    if not pairs:
+        raise FileFormatError("empty expression file")
+    names = [n for n, _ in pairs]
+    if len(set(names)) != len(names):
+        raise FileFormatError("duplicate coordinate names")
+    for coord in used:
+        if coord not in names:
+            raise FileFormatError(f"unknown coordinate {coord!r}")
+    return FunExpr.from_exprs(pairs)
+
+
+# Deepest expression a .fx line may hold, within Python's recursion limit:
+# the walks over scalar expressions recurse once per level (composition
+# adds heights), the parser thrice per "(".
+MAX_SCALAR_HEIGHT = 100
+
+
+def _parse_scalar(src: str, lineno: int, used: dict) -> ScalarExpr:
+    tokens = _scal_tokens(src, lineno)
+    pos = [0]
+    depth = [0]  # open parentheses
+    height = {}  # id of each built node (all alive until the end) -> height
+
+    def checked(level):
+        if level > MAX_SCALAR_HEIGHT:
+            raise FileFormatError(f"line {lineno}: expression nested deeper "
+                                  f"than {MAX_SCALAR_HEIGHT} levels")
+        return level
+
+    def build(ctor, left, right):
+        made = ctor(left, right)
+        height[id(made)] = checked(1 + max(height.get(id(left), 0),
+                                           height.get(id(right), 0)))
+        return made
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def take():
+        tok = peek()
+        pos[0] += 1
+        return tok
+
+    def expr():
+        node = term()
+        while peek() == "+":
+            take()
+            node = build(SAdd, node, term())
+        return node
+
+    def term():
+        node = factor()
+        while peek() == "*":
+            take()
+            node = build(SMul, node, factor())
+        return node
+
+    def factor():
+        tok = take()
+        if tok is None:
+            raise FileFormatError(f"line {lineno}: unexpected end of expression")
+        if tok == "(":
+            depth[0] = checked(depth[0] + 1)
+            node = expr()
+            depth[0] -= 1
+            if take() != ")":
+                raise FileFormatError(f"line {lineno}: missing ')'")
+            return node
+        if isinstance(tok, Fraction):
+            return SConst(tok)
+        if isinstance(tok, str) and tok.isidentifier():
+            used[tok] = None
+            return SCoord(tok)
+        raise FileFormatError(f"line {lineno}: unexpected token {tok!r}")
+
+    node = expr()
+    if peek() is not None:
+        raise FileFormatError(f"line {lineno}: trailing input {peek()!r}")
+    return node
+
+
+def _scal_tokens(src: str, lineno: int):
+    out = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+*()":
+            out.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(src) and (src[j].isdigit() or src[j] in "./"):
+                j += 1
+            try:
+                out.append(Fraction(src[i:j]))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FileFormatError(
+                    f"line {lineno}: bad number {src[i:j]!r}") from exc
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            out.append(src[i:j])
+            i = j
+        else:
+            raise FileFormatError(f"line {lineno}: bad character {ch!r}")
+    return out
+
+# ---------------------------------------------------------------------------
+# least fixpoints certified by Newton steps
 
 class CertifiedResult(KleeneResult):
     """A fixpoint answer with the bracket it proves.

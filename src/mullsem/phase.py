@@ -42,6 +42,9 @@ class PhaseSpace:
             f"unit {unit!r} is not an element"]
         violations += [f"pole member {e!r} is not an element"
                        for e in pole if e not in index]
+        violations += [f"product {a!r}*{b!r} has a factor that is not an "
+                       "element" for a, b in table
+                       if a not in index or b not in index]
         pole_mask = sum(1 << index[e] for e in pole if e in index)
         flat = []
         if not violations:
@@ -471,6 +474,7 @@ def parse_phase_space(text: str) -> PhaseSpace:
     unit = None
     pole = None
     table = {}
+    products = []  # (line number, the names of a mul line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -491,6 +495,7 @@ def parse_phase_space(text: str) -> PhaseSpace:
                 raise FileFormatError(
                     f"line {lineno}: conflicting product for {a} {b}")
             table[(a, b)] = c
+            products.append((lineno, args))
         elif kind == "pole":
             pole = tuple(args)
         else:
@@ -501,6 +506,12 @@ def parse_phase_space(text: str) -> PhaseSpace:
         raise FileFormatError("missing 'unit' line")
     if pole is None:
         raise FileFormatError("missing 'pole' line")
+    known = set(elements)
+    for lineno, names in products:
+        for name in names:
+            if name not in known:
+                raise FileFormatError(
+                    f"line {lineno}: {name!r} is not an element")
     try:
         return PhaseSpace(elements, unit, table, pole)
     except ValueError as exc:

@@ -349,34 +349,6 @@ class Relation(Record):
         return frozenset(a for a, b in self.pairs if b in subset)
 
 
-def identity_rel(carrier: Carrier) -> Relation:
-    return Relation(carrier, carrier, frozenset((e, e) for e in carrier))
-
-
-def compose_rel(f: Relation, g: Relation) -> Relation:
-    """Relational composition g after f: pairs (a, c) with a f b g c."""
-    if f.tgt != g.src:
-        raise CarrierMismatch("target of the first relation differs from "
-                              "source of the second")
-    by_src = {}
-    for b, c in g.pairs:
-        by_src.setdefault(b, set()).add(c)
-    pairs = {(a, c) for a, b in f.pairs for c in by_src.get(b, ())}
-    return Relation._trusted(f.src, g.tgt, frozenset(pairs))
-
-
-def point(carrier: Carrier, subset) -> Relation:
-    """A subset of the carrier viewed as a relation from the unit carrier."""
-    return Relation(UNIT_CARRIER, carrier,
-                    frozenset((UNIT, e) for e in subset))
-
-
-def copoint(carrier: Carrier, subset) -> Relation:
-    """A subset viewed as a relation into the unit carrier."""
-    return Relation(carrier, UNIT_CARRIER,
-                    frozenset((e, UNIT) for e in subset))
-
-
 # ---------------------------------------------------------------------------
 # hash-consing: each distinct element is built once per interpretation
 
@@ -576,50 +548,3 @@ def _folded(c: Carrier) -> Carrier:
     return Carrier._ordered(
         tuple([made.get(e) or made.setdefault(e, Fold(e)) for e in c.elems]),
         c.stabilized)
-
-
-# ---------------------------------------------------------------------------
-# morphism interpretation (the functorial action)
-
-def functor_on_relations(f: Formula, x: str, r: Relation, env=None,
-                         budgets: Budgets = DEFAULT_BUDGETS) -> Relation:
-    """Action of the interpretation functor of f (in the variable x) on r.
-
-    The remaining free variables of f are held fixed at the carriers in
-    ``env`` (acting by their identity relations).  The result relates
-    the interpretations of f at the source and target carriers of r.
-
-    The action is the relation lifting of the carrier fold: f is
-    interpreted at the graph of r, where x is the carrier of r's pairs
-    and each fixed variable is its diagonal, and every element of that
-    carrier is mapped along the two projections of its leaves.  So the
-    action has the object part's builders and budget guards, and its
-    carriers report the same ``stabilized`` flags.  Negation, the
-    identity on objects, acts as the identity: every constructor's
-    action commutes with taking converses.
-    """
-    env = env or {}
-    src = interpret_carrier(f, {**env, x: r.src}, budgets)
-    tgt = interpret_carrier(f, {**env, x: r.tgt}, budgets)
-    graph = {name: Carrier([(e, e) for e in c]) for name, c in env.items()}
-    graph[x] = Carrier(r.pairs)
-    return Relation(src, tgt, frozenset(
-        map(_projections, interpret_carrier(f, graph, budgets))))
-
-
-def _projections(e) -> tuple:
-    """Both projections of an element built over a graph: e with each
-    leaf, a pair (a, b) of the graph, replaced by a and by b."""
-    t = type(e)
-    if t is Pair:
-        (a1, b1), (a2, b2) = _projections(e.first), _projections(e.second)
-        return Pair(a1, a2), Pair(b1, b2)
-    if t is Bag:
-        sides = [_projections(item) for item in e.items]
-        return Bag([a for a, _ in sides]), Bag([b for _, b in sides])
-    if t is Unit:
-        return e, e
-    if isinstance(e, Elem):  # InL, InR or Fold
-        a, b = _projections(e.value)
-        return t(a), t(b)
-    return e

@@ -9,7 +9,7 @@ of the fold-reindexed body operator on the family lattice.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import combinations_with_replacement
 
 from . import _kernels as kernels
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -18,8 +18,8 @@ from .errors import (BudgetExceeded, CarrierMismatch, CarrierTooLarge,
 from .formula import (Bot, Formula, Lolli, Mu, Neg, Nu, OfCourse, One, Par,
                       Plus, Tensor, Top, WhyNot, With, Zero, check_variance,
                       fold)
-from .lattice import FiniteLattice, iterate
-from .relmodel import (Carrier, EMPTY_CARRIER, Relation, UNIT_CARRIER, _bag,
+from .lattice import iterate
+from .relmodel import (Carrier, EMPTY_CARRIER, UNIT_CARRIER, _bag,
                        _fixpoint_chain, _interning, _product, _sum,
                        bit_indices, fold_depth)
 
@@ -171,73 +171,6 @@ class TotalitySpace:
 
     def __repr__(self):
         return f"TotalitySpace({self.carrier!r}, {self.family!r})"
-
-
-def check_total_morphism(r: Relation, a: TotalitySpace, b: TotalitySpace) -> bool:
-    """True iff the image of every total subset of a is total in b.
-
-    Checking the minimal members suffices: images are monotone and the
-    target family is up-closed.
-    """
-    if r.src != a.carrier or r.tgt != b.carrier:
-        raise CarrierMismatch("relation endpoints do not match the spaces")
-    return all(b.family.contains(r.image(s)) for s in a.family.min_sets())
-
-
-def preimage_family(r: Relation, fam: UpFamily) -> UpFamily:
-    """Reindexing along r: the subsets whose image under r is in fam.
-
-    This is the fiber action of the orthogonality fibration on a base
-    morphism (pullback of a closed family along post-composition).
-    """
-    if r.tgt != fam.carrier:
-        raise CarrierMismatch("family does not live on the relation's target")
-    src = r.src
-    candidates = set()
-    for mset in fam.min_sets():
-        choices = []
-        feasible = True
-        for b in mset:
-            pre = sorted(r.preimage((b,)))
-            if not pre:
-                feasible = False
-                break
-            choices.append(pre)
-        if not feasible:
-            continue
-        for combo in iproduct(*choices):
-            candidates.add(src.mask_of(combo))
-        if not mset:
-            candidates.add(0)
-    return UpFamily._trusted(src, kernels.minimize_family(candidates))
-
-
-def direct_image_family(r: Relation, fam: UpFamily) -> UpFamily:
-    """Existential quantification along r: biclosure of the direct image."""
-    if r.src != fam.carrier:
-        raise CarrierMismatch("family does not live on the relation's source")
-    return biclosure(r.tgt, [r.image(s) for s in fam.min_sets()])
-
-
-def enumerate_families(carrier: Carrier):
-    """All up-closed families on the carrier (feasible for tiny carriers)."""
-    n = len(carrier)
-    if n > 4:
-        raise CarrierTooLarge(n, 4)
-    subsets = list(range(1 << n))
-    out = []
-    for choice in range(1 << len(subsets)):
-        minima = tuple(m for i, m in enumerate(subsets) if choice >> i & 1)
-        if kernels.is_antichain(minima):
-            out.append(UpFamily._trusted(carrier, minima))
-    return out
-
-
-def family_lattice(carrier: Carrier):
-    """The complete lattice D(A) of closed families, as a FiniteLattice."""
-    return FiniteLattice(enumerate_families(carrier),
-                         lambda x, y: x.le(y),
-                         name=f"D({len(carrier)})")
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def monomial_expansion(expr):
     """A polynomial scalar expression expanded into {monomial:
     coefficient}, a monomial being a sorted tuple of (coordinate,
     exponent) pairs."""
-    from mullsem.wrel import SAdd, SConst, SCoord, SMul
+    from mullsem.newton import SAdd, SConst, SCoord, SMul
     match expr:
         case SConst(v):
             return {(): Fraction(v)} if v else {}

@@ -16,18 +16,18 @@ from test_fibration import INSTANCES
 from test_phase import CORPUS
 from mullsem.budgets import Budgets
 from mullsem.formula import Mu, Neg, Nu, parse, nnf, substitute
+from mullsem.fibration import compose_rel, copoint, point
+from mullsem.newton import (FunExpr, SAdd, SConst, SCoord, SMul,
+                            check_uniformity, kleene_fixpoint)
 from mullsem.phase import (enumerate_spaces, fact_closure, interpret_phase,
                            orthogonal_fact)
-from mullsem.relmodel import (Carrier, Fold, InL, InR, Relation, UNIT,
-                              compose_rel, copoint, point)
+from mullsem.poles import (Verdict, bipolar_member, is_admissible_pole,
+                           nat_pole, pcoh_pole, totality_pole)
+from mullsem.relmodel import Carrier, Fold, InL, InR, Relation, UNIT
 from mullsem.semiring import BOOL
 from mullsem.totality import (biclosure, interpret_totality, orthogonal,
                               restrict_antichain)
-from mullsem.wrel import (FunExpr, SAdd, SConst, SCoord, SMul, Verdict,
-                          bipolar_member, check_uniformity, compose,
-                          is_admissible_pole, kleene_fixpoint,
-                          matrix_to_relation, nat_pole, pcoh_pole,
-                          relation_to_matrix, totality_pole)
+from mullsem.wrel import compose, matrix_to_relation, relation_to_matrix
 
 
 def report(number, label, started, limit=None):

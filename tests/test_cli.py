@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from mullsem import cli, errors
 from mullsem.cli import POLES, main
 from mullsem.formula import One
-from mullsem.wrel import NAMED_POLES
+from mullsem.poles import NAMED_POLES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -141,6 +142,24 @@ class TestInterp:
         assert code == 0
         assert data["semiring"] == "bool"
         assert data["vector"] == {"inl(())": "1", "inr(())": "1"}
+
+    def test_wrel_semiring_is_the_boolean_semirings_name(self):
+        # the wrel branch names the semiring without importing semiring
+        from mullsem.commands.interp import WREL_SEMIRING
+        from mullsem.semiring import BOOL
+        assert WREL_SEMIRING == BOOL.name
+
+    def test_phase_product_of_a_non_element_is_input_error(self, capsys,
+                                                           tmp_path):
+        # a misspelt name in a product line is refused, not dropped
+        space = tmp_path / "typo.ph"
+        space.write_text("elements e a\nunit e\nmul a a a\nmul x y q\n"
+                         "mul b b b\npole e\n")
+        code, out, err = run(capsys, "interp", "--model", "phase",
+                             "--space", str(space), "1")
+        assert code == 2
+        assert out == ""
+        assert err == "input error: line 4: 'x' is not an element\n"
 
     def test_totality_lolli_semantic_error(self, capsys):
         code, _, err = run(capsys, "interp", "--model", "totality", "1 -o 1")
@@ -394,7 +413,7 @@ class TestAdmissible:
         assert data["witness_sup"] == "inf"
 
     def test_pole_choices_are_the_named_poles(self):
-        # the parser lists the poles without importing wrel
+        # the parser lists the poles without importing poles
         assert POLES == tuple(sorted(NAMED_POLES))
 
     def test_unknown_pole_is_usage_error(self, capsys):
@@ -477,7 +496,11 @@ class TestExitCodes:
     def test_error_exit_code(self, capsys, monkeypatch, error):
         def command(args):
             raise error
-        monkeypatch.setitem(cli._COMMANDS, "variance", command)
+        # main runs the command module that _COMMANDS names
+        failing = types.ModuleType("mullsem.commands.failing")
+        failing.run = command
+        monkeypatch.setitem(sys.modules, failing.__name__, failing)
+        monkeypatch.setitem(cli._COMMANDS, "variance", "failing")
         code, out, err = run(capsys, "variance", "1")
         assert out == ""
         if isinstance(error, INPUT_ERRORS):

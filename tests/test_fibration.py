@@ -10,14 +10,15 @@ import pytest
 
 from oracles import certify_final_lifted, certify_initial_lifted
 from mullsem.errors import NotInvertible, NotSupported
-from mullsem.fibration import (Endofunctor, FinCategory, IndexedPoset,
-                               LiftedFunctor, Morphism, TabularIndexedPoset,
-                               check_lifted_morphism, exists_along,
-                               lift_final_coalgebra, lift_initial_algebra)
-from mullsem.lattice import FiniteLattice
+from mullsem.fibration import (Endofunctor, FinCategory, FiniteLattice,
+                               IndexedPoset, LiftedFunctor, Morphism,
+                               TabularIndexedPoset, check_lifted_morphism,
+                               direct_image_family, enumerate_families,
+                               exists_along, family_lattice,
+                               lift_final_coalgebra, lift_initial_algebra,
+                               preimage_family)
 from mullsem.relmodel import Carrier, Relation
-from mullsem.totality import (UpFamily, direct_image_family, enumerate_families,
-                              family_lattice, preimage_family)
+from mullsem.totality import UpFamily
 
 
 # ---------------------------------------------------------------------------

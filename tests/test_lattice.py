@@ -2,7 +2,8 @@ import pytest
 
 from oracles import greatest_postfixpoint_scan, least_prefixpoint_scan
 from mullsem.errors import IterationBudgetExceeded, LatticeError
-from mullsem.lattice import FiniteLattice, MonotoneOp, gfp, iterate, lfp
+from mullsem.fibration import FiniteLattice, MonotoneOp, gfp, lfp
+from mullsem.lattice import iterate
 
 
 def chain4():

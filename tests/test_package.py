@@ -1,5 +1,6 @@
 """The package root imports its submodules lazily (PEP 562)."""
 
+import importlib.util
 import json
 import os
 import re
@@ -56,6 +57,49 @@ def test_public_names_are_the_defining_objects():
     assert mullsem.__version__ == "0.1.0"
 
 
+def test_each_public_name_is_exported_from_its_defining_module():
+    for module, names in mullsem._EXPORTS.items():
+        for name in names:
+            value = getattr(mullsem, name)
+            assert getattr(value, "__module__", None) in (
+                None, f"mullsem.{module}"), name
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded as it stands."""
+    path = Path(SRC).parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_are_bound_where_the_tracer_looks():
+    # Tracer._replace takes getattr(package, module), walks the dotted
+    # path with getattr and reads the last name from vars(), so a name
+    # moved out of the module it names (or left as a lazy PEP 562 name)
+    # breaks the traced benchmark runs
+    tracing = _tracing()
+    entries = [(module, path) for _, module, path in
+               tracing.TIMED + tracing.COUNTED]
+    entries.append(("phase", "enumerate_spaces"))
+    unbound = []
+    for module, path in entries:
+        owner = getattr(mullsem, module)
+        *parts, attr = path.split(".")
+        for part in parts:
+            owner = getattr(owner, part)
+        value = vars(owner).get(attr)
+        if not callable(value):
+            unbound.append(f"{module}.{path}")
+        elif not isinstance(owner, type):
+            # a wrapper rebinds every binding of the defining object,
+            # so the defining module's binding must be that object
+            home = importlib.import_module(value.__module__)
+            assert vars(home)[value.__name__] is value, f"{module}.{path}"
+    assert unbound == []
+
+
 def test_submodules_resolve_in_a_fresh_interpreter():
     names = ["phase", "wrel", "_kernels", "cli", "errors", "budgets"]
     got = fresh("import json, mullsem; print(json.dumps("
@@ -83,28 +127,44 @@ def _cli_modules(*argv):
             re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)}
 
 
-# dataclasses (with inspect behind it) costs a CLI child several
-# milliseconds, so no command imports it: the value classes are Records
+# Each command runs from its own module of mullsem.commands and loads
+# only its model.  dataclasses (with inspect behind it) costs a CLI child
+# several milliseconds, so no command imports it: the value classes are
+# Records.  No command loads the morphism side (fibration) or the wrel
+# bridge; fix loads the polynomial systems (newton) but not the matrices
+# and poles, polar and admissible the other way round; the wrel report
+# names its semiring without loading semiring (or fractions).
 @pytest.mark.parametrize("argv,needed,unused", [
     (["variance", "mu x. 1 + x"], {"formula"},
-     {"relmodel", "totality", "phase", "wrel", "dataclasses"}),
+     {"relmodel", "totality", "phase", "dataclasses"}),
     (["interp", "--model", "rel", "--depth", "2", "mu x. 1 + x"],
-     {"formula", "relmodel"}, {"totality", "phase", "wrel", "dataclasses"}),
+     {"formula", "relmodel"}, {"totality", "phase", "dataclasses"}),
     (["interp", "--model", "totality", "--depth", "2", "mu x. 1 + x"],
-     {"formula", "relmodel", "totality"}, {"phase", "wrel", "dataclasses"}),
+     {"formula", "relmodel", "totality"}, {"phase", "dataclasses"}),
     (["interp", "--model", "wrel", "--depth", "2", "mu x. 1 + x"],
-     {"formula", "relmodel", "semiring"},
-     {"totality", "phase", "wrel", "dataclasses"}),
+     {"formula", "relmodel"},
+     {"totality", "phase", "semiring", "fractions", "dataclasses"}),
     (["phase-search", "--max-size", "3", "1 -o 1"], {"formula", "phase"},
-     {"relmodel", "totality", "wrel", "dataclasses"}),
-    (["fix", "--expr", "{walk}"], {"wrel", "newton"},
-     {"formula", "relmodel", "totality", "phase", "dataclasses"}),
-    (["admissible", "--pole", "nat"], {"wrel"},
+     {"relmodel", "totality", "dataclasses"}),
+    (["fix", "--expr", "{walk}"], {"newton"},
+     {"formula", "relmodel", "totality", "phase", "poles", "simplex",
+      "dataclasses"}),
+    (["admissible", "--pole", "nat"], {"poles"},
+     {"formula", "relmodel", "totality", "phase", "newton", "dataclasses"}),
+    (["polar", "--generators", "{gens}", "--point", "{point}"],
+     {"poles", "simplex"},
      {"formula", "relmodel", "totality", "phase", "newton", "dataclasses"}),
 ])
 def test_each_command_imports_only_its_model(argv, needed, unused, tmp_path):
-    walk = tmp_path / "walk.fx"
-    walk.write_text("x: 1/4 + 3/4 * x * x\n")
-    loaded = _cli_modules(*(arg.format(walk=walk) for arg in argv))
+    files = {"walk": "x: 1/4 + 3/4 * x * x\n",
+             "gens": "rows g h\ncols a b\ng a 1\nh b 1/2\n",
+             "point": "rows v\ncols a b\nv a 1/2\nv b 1\n"}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    loaded = _cli_modules(*(arg.format(**paths) for arg in argv))
     assert needed <= loaded
-    assert not loaded & unused
+    assert not loaded & (unused | {"fibration", "wrel"})
+    command = "commands." + argv[0].replace("-", "_")
+    assert {m for m in loaded if m.startswith("commands.")} == {command}

@@ -466,6 +466,14 @@ class TestFileFormat:
             parse_phase_space(
                 "elements e a\nunit e\nmul a a e\nmul a a a\npole\n")
 
+    @pytest.mark.parametrize("line,name", [
+        ("mul x a a", "x"), ("mul a y a", "y"), ("mul a e q", "q")])
+    def test_product_naming_a_non_element(self, line, name):
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"line 4: {name!r} is not an element")):
+            parse_phase_space(f"elements e a\nunit e\nmul a a a\n{line}\n"
+                              "pole e\n")
+
     def test_empty_pole_allowed(self):
         space = parse_phase_space(
             "elements e\nunit e\nmul e e e\npole\n")
@@ -478,6 +486,8 @@ class TestFileFormat:
                  "pole member 'z' is not an element"),
                 ((("e", "a"), "e", {("a", "a"): "q"}, ()),
                  "product 'a'*'a' = 'q' is not an element"),
+                ((("e", "a"), "e", {("a", "a"): "a", ("x", "y"): "q"}, ()),
+                 "product 'x'*'y' has a factor that is not an element"),
                 ((("e", "a", "a"), "e", {}, ()), "duplicate element names")]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 PhaseSpace(*args)

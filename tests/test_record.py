@@ -12,11 +12,11 @@ from mullsem.budgets import Budgets
 from mullsem.fibration import Morphism
 from mullsem.formula import (ONE, Mu, One, Plus, Tensor, Var, With, Zero,
                              parse)
-from mullsem.newton import CertifiedResult
+from mullsem.newton import (CertifiedResult, FunExpr, KleeneResult, SAdd,
+                            SConst, SCoord, SMul)
+from mullsem.poles import AdmissibilityReport, PoleSpec, Verdict
 from mullsem.record import Record
 from mullsem.semiring import NINF
-from mullsem.wrel import (AdmissibilityReport, FunExpr, KleeneResult,
-                          PoleSpec, SAdd, SConst, SCoord, SMul, Verdict)
 
 X = Var("x")
 

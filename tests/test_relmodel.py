@@ -18,16 +18,17 @@ from oracles import element_parts, fixpoint_sample
 from test_formula import random_formula
 from mullsem.budgets import Budgets
 from mullsem.errors import BudgetExceeded, CarrierMismatch
+from mullsem.fibration import (compose_rel, copoint, functor_on_relations,
+                               identity_rel, point)
 from mullsem.formula import (Bot, Mu, Neg, Nu, OfCourse, One, Par, Plus,
                              Tensor, Top, WhyNot, With, Zero, fold, nnf,
                              parse, to_text)
 from mullsem import relmodel
 from mullsem.relmodel import (Bag, Carrier, EMPTY_CARRIER, Fold, InL, InR,
                               Pair, Relation, UNIT, Unit, bag_carrier,
-                              bags_over, compose_rel, copoint, fold_depth,
-                              functor_on_relations, identity_rel,
-                              interpret_carrier, pair_carrier, point,
-                              render_elem, sort_key, sum_carrier)
+                              bags_over, fold_depth, interpret_carrier,
+                              pair_carrier, render_elem, sort_key,
+                              sum_carrier)
 from mullsem.totality import interpret_totality
 
 

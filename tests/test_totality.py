@@ -19,16 +19,17 @@ from mullsem.budgets import Budgets
 from mullsem.errors import (BudgetExceeded, CarrierTooLarge,
                             IterationBudgetExceeded, MullsemError,
                             UnsupportedConstructor, VarianceError)
+from mullsem.fibration import (check_total_morphism, enumerate_families,
+                               family_lattice, functor_on_relations,
+                               identity_rel)
 from mullsem.formula import (EMPTY_CONTEXT, Mu, check_variance, fold, parse,
                              substitute, to_text)
 from mullsem.lattice import iterate
 from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
                               UNIT, bags_over, bit_indices, fold_depth,
-                              identity_rel, interpret_carrier)
+                              interpret_carrier)
 from mullsem.totality import (TotalitySpace, UpFamily, _reindex_along_fold,
-                              biclosure, check_total_morphism,
-                              enumerate_families, family_lattice,
-                              interpret_totality, orthogonal,
+                              biclosure, interpret_totality, orthogonal,
                               restrict_antichain)
 
 
@@ -336,7 +337,7 @@ class TestTotalMorphisms:
 
 
 def compose_rel_local(r1, r2):
-    from mullsem.relmodel import compose_rel
+    from mullsem.fibration import compose_rel
     return compose_rel(r1, r2)
 
 
@@ -370,7 +371,7 @@ class TestLiftingPremise:
             lifted = {id(s): interpret_totality(f, {"x": s}, budgets)
                       for s in spaces}
             for r, a, b in total:
-                out = relmodel.functor_on_relations(f, "x", r, budgets=budgets)
+                out = functor_on_relations(f, "x", r, budgets=budgets)
                 assert check_total_morphism(out, lifted[id(a)],
                                             lifted[id(b)]), (text, r.pairs)
                 checks += 1

@@ -7,20 +7,21 @@ import pytest
 from oracles import expanded_partials, oracle_bipolar
 from mullsem.errors import (BudgetExceeded, DimensionCap, EmptyGenerators,
                             FileFormatError, IndexMismatch, PreconditionFailed)
-from mullsem.relmodel import Carrier, Relation, compose_rel
+from mullsem.fibration import compose_rel
+from mullsem.newton import (NEWTON_DIMENSION_CAP, CertifiedResult, FunExpr,
+                            KleeneResult, SAdd, SConst, SCoord, SMul,
+                            _linearize, certified_fixpoint, check_uniformity,
+                            eval_scalar, kleene_fixpoint, parse_funexpr)
+from mullsem.poles import (ChainCounterexample, DownsetClosed, PoleSpec,
+                           SemiringMatrix, Verdict, bipolar_member,
+                           bipolar_member_matrix, is_admissible_pole,
+                           nat_pole, parse_matrix, parse_vector, pcoh_pole,
+                           render_matrix, totality_pole, vector)
+from mullsem.relmodel import Carrier, Relation
 from mullsem.semiring import (BOOL, INF, NINF, RFLOAT, RINF,
                               check_semiring_laws)
-from mullsem.newton import (NEWTON_DIMENSION_CAP, CertifiedResult,
-                            _linearize, certified_fixpoint)
-from mullsem.wrel import (ChainCounterexample, DownsetClosed, FunExpr,
-                          KleeneResult, PoleSpec, SAdd, SConst, SCoord, SMul,
-                          SemiringMatrix, Verdict, bipolar_member,
-                          bipolar_member_matrix, check_uniformity, compose,
-                          eval_scalar, identity_matrix, is_admissible_pole,
-                          kleene_fixpoint, matrix_to_relation, nat_pole,
-                          orthogonal_pair, parse_funexpr, parse_matrix,
-                          parse_vector, pcoh_pole, relation_to_matrix,
-                          render_matrix, totality_pole, vector)
+from mullsem.wrel import (compose, identity_matrix, matrix_to_relation,
+                          orthogonal_pair, relation_to_matrix)
 
 
 class TestSemirings:
