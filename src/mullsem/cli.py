@@ -26,23 +26,9 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
-DEPTH_ENV_VAR = "MULL_BUDGET_DEPTH"
 # the keys of poles.NAMED_POLES, sorted; the parser lists them without
 # importing poles
 POLES = ("nat", "pcoh", "totality")
-
-
-def _default_depth():
-    raw = os.environ.get(DEPTH_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DEPTH
-    try:
-        depth = int(raw)
-    except ValueError:
-        raise FileFormatError(f"{DEPTH_ENV_VAR} must be an integer, got {raw!r}")
-    if depth < 0:
-        raise FileFormatError(f"{DEPTH_ENV_VAR} must be non-negative")
-    return depth
 
 
 def build_parser():
@@ -60,9 +46,8 @@ def build_parser():
     interp.add_argument("--model", required=True,
                         choices=("rel", "totality", "phase", "wrel"))
     interp.add_argument("--space", help="phase-space file (phase model)")
-    interp.add_argument("--depth", type=int, default=None,
-                        help=f"fixpoint depth budget (default {DEFAULT_DEPTH}; "
-                             f"env {DEPTH_ENV_VAR})")
+    interp.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+                        help=f"fixpoint depth budget (default {DEFAULT_DEPTH})")
     interp.add_argument("--bag", type=int, default=DEFAULT_BAG,
                         help=f"multiset size budget (default {DEFAULT_BAG})")
     interp.add_argument("formula")
@@ -90,10 +75,8 @@ def build_parser():
 
 
 def _budgets(args) -> Budgets:
-    depth = args.depth if getattr(args, "depth", None) is not None \
-        else _default_depth()
     try:
-        return Budgets(depth=depth, bag=getattr(args, "bag", DEFAULT_BAG))
+        return Budgets(depth=args.depth, bag=args.bag)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
 

@@ -157,7 +157,6 @@ EMPTY_CONTEXT = Context()
 # parsing
 
 _KEYWORDS = {"mu", "nu", "top", "bot"}
-_SYMBOLS = ("-o", "!", "?", "~", "*", "|", "+", "&", "(", ")", ".")
 
 
 def _is_ident_start(ch):

@@ -74,7 +74,7 @@ def _float(v: Fraction) -> float:
     try:
         return float(v)
     except OverflowError:
-        return float("inf")
+        return INF
 
 
 def subst_scalar(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
@@ -142,34 +142,16 @@ class KleeneResult(Record):
 
 
 def _num_str(v):
-    if v is INF:
-        return "inf"
     if isinstance(v, Fraction):
         return str(v)
     return repr(float(v))
 
 
-def _diff(sr, lo, hi):
-    """hi - lo for ascending scalars, with inf - inf = 0."""
-    hi_inf = hi is INF or (isinstance(hi, float) and hi == float("inf"))
-    lo_inf = lo is INF or (isinstance(lo, float) and lo == float("inf"))
-    if hi_inf and lo_inf:
-        return sr.zero
-    if hi_inf:
-        return INF
-    return hi - lo
-
-
 def _sup_diff(sr, lo, hi, coords):
-    """The sup-norm of hi - lo over coords: INF as soon as one
-    coordinate's difference is, since INF does not compare with floats."""
-    out = sr.zero
-    for n in coords:
-        d = _diff(sr, lo[n], hi[n])
-        if d is INF:
-            return INF
-        out = max(out, d)
-    return out
+    """The sup-norm of hi - lo over coords for ascending scalars; equal
+    coordinates count 0, so inf - inf is 0 and not nan."""
+    return max((hi[n] - lo[n] for n in coords if hi[n] != lo[n]),
+               default=sr.zero)
 
 
 def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
@@ -198,7 +180,7 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
                     f"iterates are not ascending at coordinate {n!r}")
         step = _sup_diff(sr, cur, nxt, f.inputs)
         cur = nxt
-        if step is not INF and step <= tol:
+        if step <= tol:
             return KleeneResult(cur, step, it, True, mode)
     after = f.eval(cur, sr)
     residual = _sup_diff(sr, cur, after, f.inputs)
@@ -213,7 +195,7 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
 def _widest(values):
     """Bits of the widest numerator or denominator among exact values."""
     return max((max(v.numerator.bit_length(), v.denominator.bit_length())
-                for v in values.values() if v is not INF), default=0)
+                for v in values.values() if v != INF), default=0)
 
 
 def _sample_points(coords, sr):
@@ -252,7 +234,7 @@ def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
         left = hf.eval(point, sr)
         right = gh.eval(point, sr)
         for n in h.output_names():
-            delta = abs(_as_number(left[n]) - _as_number(right[n]))
+            delta = abs(left[n] - right[n])
             if delta > tolerance:
                 raise PreconditionFailed(
                     f"h.f = g.h fails at {point} on {n!r} (delta {delta})")
@@ -263,15 +245,9 @@ def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
         fdag = kleene_fixpoint(f, tol, max_iter, mode)
         gdag = kleene_fixpoint(g, tol, max_iter, mode)
     mapped = h.eval(fdag.values, sr)
-    gap = max((abs(_as_number(mapped[n]) - _as_number(gdag.values[n]))
-               for n in h.output_names()), default=0)
+    gap = max((abs(mapped[n] - gdag.values[n]) for n in h.output_names()),
+              default=0)
     return gap <= tolerance
-
-
-def _as_number(v):
-    if v is INF:
-        return float("inf")
-    return v
 
 # ---------------------------------------------------------------------------
 # expression files:  one "name: expr" line per coordinate

@@ -17,7 +17,6 @@ from .errors import (DimensionCap, EmptyGenerators, FileFormatError,
                      IndexMismatch)
 from .record import Record
 from .semiring import BOOL, INF, NINF, RINF, Semiring
-from .simplex import OPTIMAL, UNBOUNDED, simplex_maximize
 
 VECTOR_ROW = "v"
 POLAR_DIMENSION_CAP = 8
@@ -138,13 +137,13 @@ class AdmissibilityReport(Record):
 
 def pcoh_pole() -> PoleSpec:
     return PoleSpec("pcoh", RINF,
-                    lambda v: v is not INF and 0 <= v <= 1,
+                    lambda v: 0 <= v <= 1,
                     DownsetClosed(Fraction(1)))
 
 
 def nat_pole() -> PoleSpec:
     return PoleSpec("nat", NINF,
-                    lambda v: v is not INF,
+                    lambda v: v < INF,
                     ChainCounterexample(tuple(range(6)), INF))
 
 
@@ -162,7 +161,7 @@ def is_admissible_pole(pole: PoleSpec) -> AdmissibilityReport:
 
     Closure under suprema of ascending chains is semi-decidable from
     finite evidence, hence the INCONCLUSIVE verdict when the pole
-    declares no closure evidence and sampling finds no violation.
+    contains bottom but declares no closure evidence.
     """
     sr = pole.semiring
     if not pole.contains_zero():
@@ -194,16 +193,9 @@ def is_admissible_pole(pole: PoleSpec) -> AdmissibilityReport:
         return AdmissibilityReport(
             Verdict.ADMISSIBLE,
             "contains bottom and is a downset, so chain suprema stay inside")
-    # no declared evidence: finite sampling cannot certify chain closure
-    for v in sr.sample_values():
-        if pole.member(v) and not pole.member(sr.chain_sup([sr.zero, v])):
-            return AdmissibilityReport(
-                Verdict.NOT_ADMISSIBLE, "sampling found an escaping chain",
-                witness_chain=(sr.zero, v), witness_sup=v)
     return AdmissibilityReport(
         Verdict.INCONCLUSIVE,
-        "contains bottom; sampled chains stay inside but no closure "
-        "evidence is declared")
+        "contains bottom, but no closure evidence is declared")
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +230,8 @@ def bipolar_member(generators, x) -> bool:
     a_rows = [[g[j] for j in live] for g in gens]
     b = [Fraction(1)] * len(gens)
     c = [point[j] for j in live]
+    # imported here: admissible loads this module but runs no LP
+    from .simplex import OPTIMAL, UNBOUNDED, simplex_maximize
     status, value, _ = simplex_maximize(a_rows, b, c)
     if status == UNBOUNDED:
         return False
@@ -250,11 +244,17 @@ def bipolar_member_matrix(generators: SemiringMatrix,
     """Matrix-level wrapper: rows of ``generators`` are the generators."""
     if generators.cols != x.cols:
         raise IndexMismatch("generators and point on different index sets")
+    infinite = [(f"generator {r}", c)
+                for (r, c), v in generators.entries.items() if v == INF]
+    infinite += [("the point", c) for (_, c), v in x.entries.items()
+                 if v == INF]
+    if infinite:
+        name, col = infinite[0]
+        raise ValueError(f"{name} is inf at {col}: polar membership needs "
+                         "finite rational entries")
     gens = [[generators.get(r, c) for c in generators.cols]
             for r in generators.rows]
     point = [x.get(VECTOR_ROW, c) for c in x.cols]
-    if any(v is INF for g in gens for v in g) or any(v is INF for v in point):
-        raise ValueError("polar membership needs finite rational entries")
     return bipolar_member(gens, point)
 
 
@@ -263,28 +263,35 @@ def bipolar_member_matrix(generators: SemiringMatrix,
 
 def parse_matrix(text: str) -> SemiringMatrix:
     """Matrix file: ``rows``/``cols`` headers then ``row col value`` triples,
-    with values in the completed non-negative reals."""
-    rows = cols = None
+    with values in the completed non-negative reals.  A label may appear
+    once in its header, and an entry on one line."""
+    headers = {}
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "rows":
-            rows = tuple(parts[1:])
-        elif parts[0] == "cols":
-            cols = tuple(parts[1:])
+        if parts[0] in ("rows", "cols"):
+            labels = parts[1:]
+            repeated = [x for i, x in enumerate(labels) if x in labels[:i]]
+            if repeated:
+                raise FileFormatError(f"line {lineno}: repeated label "
+                                      f"{repeated[0]!r} in '{parts[0]}'")
+            headers[parts[0]] = tuple(labels)
         elif len(parts) == 3:
             triples.append((lineno, parts))
         else:
             raise FileFormatError(f"line {lineno}: expected 'row col value'")
+    rows, cols = headers.get("rows"), headers.get("cols")
     if rows is None or cols is None:
         raise FileFormatError("missing 'rows' or 'cols' header")
     entries = {}
     for lineno, (r, c, v) in triples:
         if r not in rows or c not in cols:
             raise FileFormatError(f"line {lineno}: unknown index {r!r},{c!r}")
+        if (r, c) in entries:
+            raise FileFormatError(f"line {lineno}: repeated entry {r!r},{c!r}")
         try:
             entries[(r, c)] = RINF.parse(v)
         except ValueError as exc:

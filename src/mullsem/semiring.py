@@ -8,25 +8,10 @@ only by the fixpoint iterator.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-
-class _Infinity:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __reduce__(self):
-        return (_Infinity, ())
-
-
-INF = _Infinity()
+INF = math.inf
 
 
 class Semiring:
@@ -48,15 +33,8 @@ class Semiring:
     def le(self, a, b) -> bool:
         raise NotImplementedError
 
-    def chain_sup(self, values):
-        """Supremum of a finite ascending sequence (its last element)."""
-        values = list(values)
-        if not values:
-            return self.zero
-        return values[-1]
-
     def to_str(self, v) -> str:
-        return "inf" if v is INF else str(v)
+        return str(v)
 
     def sum(self, values):
         acc = self.zero
@@ -69,6 +47,11 @@ class Semiring:
 
     def __repr__(self):
         return f"Semiring({self.name})"
+
+    def __reduce__(self):
+        # the module constant bound to this object, so that an unpickled
+        # matrix keeps the identity checks on its semiring
+        return next(k for k, v in globals().items() if v is self)
 
 
 class BoolSemiring(Semiring):
@@ -96,25 +79,21 @@ class BoolSemiring(Semiring):
 
 
 class _ExtendedNumeric(Semiring):
-    """Shared arithmetic for the completed numeric semirings."""
+    """Shared arithmetic for the completed numeric semirings.
+
+    inf is taken before adding or multiplying: Python would convert an
+    exact value to float first, which overflows past the largest float.
+    """
 
     def add(self, a, b):
-        if a is INF or b is INF:
-            return INF
-        return a + b
+        return INF if INF in (a, b) else a + b
 
     def mul(self, a, b):
         if a == self.zero or b == self.zero:
             return self.zero
-        if a is INF or b is INF:
-            return INF
-        return a * b
+        return INF if INF in (a, b) else a * b
 
     def le(self, a, b):
-        if b is INF:
-            return True
-        if a is INF:
-            return False
         return a <= b
 
 
@@ -124,7 +103,7 @@ class NInfSemiring(_ExtendedNumeric):
     one = 1
 
     def is_value(self, v):
-        return v is INF or (isinstance(v, int) and not isinstance(v, bool)
+        return v == INF or (isinstance(v, int) and not isinstance(v, bool)
                             and v >= 0)
 
     def sample_values(self):
@@ -137,7 +116,7 @@ class RInfSemiring(_ExtendedNumeric):
     one = Fraction(1)
 
     def is_value(self, v):
-        return v is INF or (isinstance(v, Fraction) and v >= 0)
+        return v == INF or (isinstance(v, Fraction) and v >= 0)
 
     def parse(self, text):
         if text == "inf":
@@ -161,23 +140,6 @@ class RFloatSemiring(_ExtendedNumeric):
 
     def is_value(self, v):
         return isinstance(v, float) and v >= 0.0
-
-    def add(self, a, b):
-        a = float("inf") if a is INF else a
-        b = float("inf") if b is INF else b
-        return a + b
-
-    def mul(self, a, b):
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        a = float("inf") if a is INF else a
-        b = float("inf") if b is INF else b
-        return a * b
-
-    def le(self, a, b):
-        a = float("inf") if a is INF else a
-        b = float("inf") if b is INF else b
-        return a <= b
 
     def sample_values(self):
         return [0.0, 0.5, 1.0, 2.5]

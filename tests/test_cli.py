@@ -175,22 +175,6 @@ class TestInterp:
         assert out == ""
         assert err.startswith("error: ") and "exceeds cap 20000" in err
 
-    def test_env_var_depth(self, capsys, monkeypatch):
-        monkeypatch.setenv("MULL_BUDGET_DEPTH", "2")
-        code, data, _ = run_json(capsys, "interp", "--model", "rel",
-                                 "mu x. 1 + x")
-        assert code == 0
-        assert data["budgets"]["depth"] == 2
-        monkeypatch.setenv("MULL_BUDGET_DEPTH", "nope")
-        code, _, err = run(capsys, "interp", "--model", "rel", "1")
-        assert code == 2
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MULL_BUDGET_DEPTH", "2")
-        code, data, _ = run_json(capsys, "interp", "--model", "rel",
-                                 "--depth", "5", "mu x. 1 + x")
-        assert data["budgets"]["depth"] == 5
-
 
 class TestPhaseSearch:
     def test_counter_model_reported_as_data(self, capsys):
@@ -374,6 +358,35 @@ class TestPolar:
                            str(tmp_path / "nope"), "--point",
                            str(tmp_path / "nope2"))
         assert code == 2
+
+    @pytest.mark.parametrize("gens,point,entry", [
+        ("g1 i 1\ng2 j inf\n", "v i 1/2\n", "generator g2 is inf at j"),
+        ("g1 i 1\n", "v i 1/2\nv j inf\n", "the point is inf at j"),
+    ], ids=["generators", "point"])
+    def test_inf_entry_is_input_error(self, capsys, tmp_path, gens, point,
+                                      entry):
+        files = {"gens.mat": "rows g1 g2\ncols i j\n" + gens,
+                 "pt.mat": "rows v\ncols i j\n" + point}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "polar", "--generators",
+                             str(tmp_path / "gens.mat"), "--point",
+                             str(tmp_path / "pt.mat"))
+        assert code == 2
+        assert out == ""
+        assert err == (f"input error: {entry}: polar membership needs "
+                       "finite rational entries\n")
+
+    def test_repeated_entry_is_input_error(self, capsys, tmp_path):
+        gens = tmp_path / "gens.mat"
+        gens.write_text("rows g1\ncols i\ng1 i 1\n")
+        point = tmp_path / "pt.mat"
+        point.write_text("rows v\ncols i\nv i 1/2\nv i 2\n")
+        code, out, err = run(capsys, "polar", "--generators", str(gens),
+                             "--point", str(point))
+        assert code == 2
+        assert out == ""
+        assert err == "input error: line 4: repeated entry 'v','i'\n"
 
 
 class TestInputFiles:

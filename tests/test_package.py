@@ -132,8 +132,9 @@ def _cli_modules(*argv):
 # several milliseconds, so no command imports it: the value classes are
 # Records.  No command loads the morphism side (fibration) or the wrel
 # bridge; fix loads the polynomial systems (newton) but not the matrices
-# and poles, polar and admissible the other way round; the wrel report
-# names its semiring without loading semiring (or fractions).
+# and poles, polar and admissible the other way round, and only polar
+# loads the LP (simplex); the wrel report names its semiring without
+# loading semiring (or fractions).
 @pytest.mark.parametrize("argv,needed,unused", [
     (["variance", "mu x. 1 + x"], {"formula"},
      {"relmodel", "totality", "phase", "dataclasses"}),
@@ -150,7 +151,8 @@ def _cli_modules(*argv):
      {"formula", "relmodel", "totality", "phase", "poles", "simplex",
       "dataclasses"}),
     (["admissible", "--pole", "nat"], {"poles"},
-     {"formula", "relmodel", "totality", "phase", "newton", "dataclasses"}),
+     {"formula", "relmodel", "totality", "phase", "newton", "simplex",
+      "dataclasses"}),
     (["polar", "--generators", "{gens}", "--point", "{point}"],
      {"poles", "simplex"},
      {"formula", "relmodel", "totality", "phase", "newton", "dataclasses"}),

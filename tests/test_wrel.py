@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
@@ -31,10 +32,25 @@ class TestSemirings:
 
     def test_infinity_conventions(self):
         assert NINF.mul(0, INF) == 0
-        assert NINF.mul(2, INF) is INF
-        assert NINF.add(3, INF) is INF
+        assert NINF.mul(2, INF) == INF
+        assert NINF.add(3, INF) == INF
         assert RINF.mul(F(0), INF) == F(0)
         assert RINF.le(F(5), INF) and not RINF.le(INF, F(5))
+
+    def test_infinity_meets_exact_values_past_the_largest_float(self):
+        # Python's + and * would convert 10^400 to float first and overflow
+        huge = 10 ** 400
+        assert NINF.add(huge, INF) == INF and NINF.mul(INF, huge) == INF
+        assert RINF.add(INF, F(huge)) == INF and RINF.mul(F(huge), INF) == INF
+        assert RINF.le(F(huge), INF) and not NINF.le(INF, huge)
+
+    def test_infinity_survives_pickle_and_parsing(self):
+        assert RINF.parse("inf") == INF
+        mat = SemiringMatrix(RINF, ("a", "b"), ("c",),
+                             {("a", "c"): F(1, 2), ("b", "c"): INF})
+        copy = pickle.loads(pickle.dumps(mat))
+        assert copy == mat and copy.semiring is RINF
+        assert copy.get("b", "c") == INF
 
 
 class TestCompose:
@@ -49,7 +65,7 @@ class TestCompose:
                            {("a", "b1"): 1, ("a", "b2"): 2})
         g = SemiringMatrix(NINF, ("b1", "b2"), ("c",),
                            {("b1", "c"): 3, ("b2", "c"): INF})
-        assert compose(f, g).get("a", "c") is INF
+        assert compose(f, g).get("a", "c") == INF
 
     def test_zero_times_inf_column(self):
         f = SemiringMatrix(NINF, ("a",), ("b",), {})
@@ -544,6 +560,21 @@ class TestFileFormats:
     def test_negative_value_rejected(self):
         with pytest.raises(FileFormatError):
             parse_matrix("rows a\ncols b\na b -1\n")
+
+    def test_repeated_entry_rejected(self):
+        # the second line would silently replace the first
+        with pytest.raises(FileFormatError,
+                           match="^line 4: repeated entry 'v','a'$"):
+            parse_vector("rows v\ncols a\nv a 1/2\nv a 1\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("rows g g\ncols a\n", "line 1: repeated label 'g' in 'rows'"),
+        ("rows g\n# two columns\ncols a b a\n",
+         "line 3: repeated label 'a' in 'cols'"),
+    ], ids=["rows", "cols"])
+    def test_repeated_label_rejected(self, text, message):
+        with pytest.raises(FileFormatError, match=f"^{message}$"):
+            parse_matrix(text)
 
     def test_funexpr_parsing(self):
         f = parse_funexpr("x: 1/4 + 3/4 * x * x\n")
