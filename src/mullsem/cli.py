@@ -128,13 +128,26 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so that the
-        # flush at exit does not fail again
+        # the reader closed stdout; point it at devnull so that a later
+        # flush of what is still buffered does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: output closed before the answer was written",
               file=sys.stderr)
         return EXIT_SEMANTIC
 
 
+def entry():
+    """The process entry of ``mullsem`` and ``python -m mullsem``: main's
+    exit code, once stdout and stderr are flushed.  The package registers
+    no atexit handler and writes nothing but these two streams, so ending
+    with os._exit skips only module teardown and the final garbage
+    collection.  argparse's SystemExit and an uncaught exception leave
+    main before this and take the interpreter's normal exit."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -12,6 +12,7 @@ this module, and not the matrices and poles of ``poles``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -161,7 +162,8 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
     Iterates stop when the sup-norm step drops to ``tol``; the returned
     residual is the sup-norm of f(x) - x at the final iterate.  Raises
     BudgetExceeded (carrying the last iterate) past ``max_iter``, and in
-    exact mode before a step from an iterate wider than EXACT_BITS_CAP.
+    exact mode before a step from an iterate wider than EXACT_BITS_CAP
+    and on an answer too wide to print.
     """
     if not f.is_endo():
         raise IndexMismatch("fixpoints need an endo map")
@@ -169,7 +171,7 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
     tol = float(tol) if mode == "float" else Fraction(tol)
     cur = {n: sr.zero for n in f.inputs}
     for it in range(1, max_iter + 1):
-        if mode == "exact" and _widest(cur) > EXACT_BITS_CAP:
+        if mode == "exact" and _widest(cur.values()) > EXACT_BITS_CAP:
             raise BudgetExceeded(
                 f"iteration {it}: an exact iterate has more than "
                 f"{EXACT_BITS_CAP} bits in a numerator or denominator")
@@ -181,10 +183,10 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
         step = _sup_diff(sr, cur, nxt, f.inputs)
         cur = nxt
         if step <= tol:
-            return KleeneResult(cur, step, it, True, mode)
+            return _printable(KleeneResult(cur, step, it, True, mode))
     after = f.eval(cur, sr)
     residual = _sup_diff(sr, cur, after, f.inputs)
-    last = KleeneResult(cur, residual, max_iter, False, mode)
+    last = _printable(KleeneResult(cur, residual, max_iter, False, mode))
     err = BudgetExceeded(
         f"no stabilization within {max_iter} iterations "
         f"(residual {_num_str(residual)})")
@@ -195,7 +197,25 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
 def _widest(values):
     """Bits of the widest numerator or denominator among exact values."""
     return max((max(v.numerator.bit_length(), v.denominator.bit_length())
-                for v in values.values() if v != INF), default=0)
+                for v in values if v != INF), default=0)
+
+
+def _printable(result):
+    """result, unless str() cannot write one of its exact values: CPython
+    3.11 (and 3.10.7) caps the digits of an int it converts to decimal."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap
+    if result.mode == "float" or not limit:
+        return result
+    values = [v for v in (*result.values.values(), result.residual)
+              if v != INF]
+    bound = 10 ** limit
+    if all(abs(v.numerator) < bound and v.denominator < bound
+           for v in values):
+        return result
+    raise BudgetExceeded(
+        f"iteration {result.iterations}: the exact result has "
+        f"{_widest(values)} bits in a numerator or denominator, more than "
+        f"the {limit} decimal digits an integer may print as")
 
 
 def _sample_points(coords, sr):

@@ -263,8 +263,8 @@ def bipolar_member_matrix(generators: SemiringMatrix,
 
 def parse_matrix(text: str) -> SemiringMatrix:
     """Matrix file: ``rows``/``cols`` headers then ``row col value`` triples,
-    with values in the completed non-negative reals.  A label may appear
-    once in its header, and an entry on one line."""
+    with values in the completed non-negative reals.  Each header may
+    appear once, a label once in its header, and an entry on one line."""
     headers = {}
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -273,6 +273,9 @@ def parse_matrix(text: str) -> SemiringMatrix:
             continue
         parts = line.split()
         if parts[0] in ("rows", "cols"):
+            if parts[0] in headers:
+                raise FileFormatError(f"line {lineno}: repeated "
+                                      f"'{parts[0]}' header")
             labels = parts[1:]
             repeated = [x for i, x in enumerate(labels) if x in labels[:i]]
             if repeated:

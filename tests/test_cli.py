@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -13,7 +15,8 @@ from mullsem.cli import POLES, main
 from mullsem.formula import One
 from mullsem.poles import NAMED_POLES
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 SIGN_SPACE = """\
 elements 1 -1
@@ -25,6 +28,9 @@ pole 1
 """
 
 WALK = "x: 1/4 + 3/4 * x * x\n"
+# its machine answer is about 2.6 MB, far more than a pipe buffers
+LARGE_ANSWER = ("interp", "--model", "rel", "--depth", "3",
+                "mu x. mu y. 1 + !x + y")
 
 
 def run(capsys, *argv):
@@ -38,15 +44,22 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+def child_env():
+    """The environment of a child, with stdout block-buffered as on a
+    user's pipe whatever PYTHONUNBUFFERED says here."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    return env
+
+
 def run_child(*argv):
     """A ``python -m mullsem --format machine`` child: the default stack,
     no pytest frames below it, and any traceback on its stderr."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
-                               if env.get("PYTHONPATH") else "")
     return subprocess.run([sys.executable, "-m", "mullsem", "--format",
                            "machine", *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=child_env(), timeout=120)
 
 
 class TestVariance:
@@ -231,6 +244,24 @@ class TestFix:
         assert err.startswith("error: iteration 17: ")
         assert "65536 bits" in err
 
+    def test_exact_answer_too_wide_to_print_is_semantic(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # stabilizes after 16 steps with a 98,304-bit numerator, under
+        # the bit cap's check before each step but past the 4,300 digits
+        # that str() writes of an int by default
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300,
+                            raising=False)
+        expr = tmp_path / "quadratic.fx"
+        expr.write_text("x: 1/4 + 1/2 * x * x\n")
+        code, out, err = run(capsys, "fix", "--expr", str(expr),
+                             "--mode", "exact")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: iteration 16: the exact result has 98304 "
+                       "bits in a numerator or denominator, more than the "
+                       "4300 decimal digits an integer may print as\n")
+
     def test_critical_system_is_certified(self, capsys, tmp_path):
         # Kleene iteration is sublinear here and exhausts --max-iter
         expr = tmp_path / "critical.fx"
@@ -388,6 +419,18 @@ class TestPolar:
         assert out == ""
         assert err == "input error: line 4: repeated entry 'v','i'\n"
 
+    def test_repeated_header_is_input_error(self, capsys, tmp_path):
+        # the second header only reorders the labels; it was accepted
+        gens = tmp_path / "gens.mat"
+        gens.write_text("rows g1\ncols i j\ng1 i 1\n")
+        point = tmp_path / "pt.mat"
+        point.write_text("rows v\ncols i j\nv i 1/2\ncols j i\nv j 1\n")
+        code, out, err = run(capsys, "polar", "--generators", str(gens),
+                             "--point", str(point))
+        assert code == 2
+        assert out == ""
+        assert err == "input error: line 4: repeated 'cols' header\n"
+
 
 class TestInputFiles:
     @pytest.mark.parametrize("argv", [
@@ -524,15 +567,10 @@ class TestExitCodes:
             assert err == f"error: {error}\n"
 
     def test_closed_stdout_is_not_a_traceback(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
-                                   if env.get("PYTHONPATH") else "")
-        # the answer is about 2.6 MB, far more than a pipe buffers
         proc = subprocess.Popen(
             [sys.executable, "-m", "mullsem", "--format", "machine",
-             "interp", "--model", "rel", "--depth", "3",
-             "mu x. mu y. 1 + !x + y"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+             *LARGE_ANSWER],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         proc.stdout.read(100)
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -540,3 +578,62 @@ class TestExitCodes:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_closed_stdout_before_a_short_answer(self):
+        # the block-buffered stdout keeps the short answer until main's
+        # flush, which fails; the flush before the exit must not fail again
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mullsem", "variance", "mu x. 1 + x"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env=child_env(), timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: output closed before the answer was "
+                               "written\n")
+
+
+class TestExitPath:
+    def test_large_answer_reaches_a_pipe_whole(self, capsys):
+        proc = run_child(*LARGE_ANSWER)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        json.loads(proc.stdout)
+        code, out, _ = run(capsys, "--format", "machine", *LARGE_ANSWER)
+        assert (code, out) == (0, proc.stdout)
+
+    @pytest.mark.parametrize("argv", [
+        ("variance", "mu x. x +"),
+        ("variance", "mu x. ~x"),
+        ("variance",),
+    ], ids=["parse-error", "variance-error", "usage-error"])
+    def test_child_ends_as_main_returns(self, capsys, argv):
+        try:
+            code = main(["--format", "machine", *argv])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = run_child(*argv)
+        assert code != 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out, captured.err)
+
+    def test_script_and_module_run_the_same_entry(self):
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        entry = re.search(r'^mullsem = "mullsem\.cli:(\w+)"$', pyproject,
+                          re.MULTILINE).group(1)
+        assert callable(getattr(cli, entry))
+        # statements at module level and in a module-level if block (the
+        # __main__ guard) that call a function
+        for path in (Path(SRC) / "mullsem" / "__main__.py",
+                     Path(cli.__file__)):
+            body = ast.parse(path.read_text()).body
+            stmts = [stmt for node in body for stmt in
+                     (node.body if isinstance(node, ast.If) else [node])]
+            calls = [stmt.value.func.id for stmt in stmts
+                     if isinstance(stmt, ast.Expr)
+                     and isinstance(stmt.value, ast.Call)]
+            assert calls == [entry], path.name

@@ -1,5 +1,6 @@
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -269,6 +270,25 @@ class TestKleene:
         out = kleene_fixpoint(f, 1e-12)
         u = out.values["u"]
         assert abs(u - (F(1, 4) + F(1, 2) * u * u)) <= 1e-9
+
+    @pytest.mark.parametrize("text,ok", [
+        ("x: 999", True), ("x: 1/999", True),
+        ("x: 1000", False), ("x: 1/1000", False),
+    ])
+    def test_exact_answer_must_print(self, monkeypatch, text, ok):
+        # str() of an int stops at the interpreter's digit limit; the
+        # constant map stabilizes at step 2
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3,
+                            raising=False)
+        f = parse_funexpr(text)
+        if ok:
+            assert kleene_fixpoint(f, F(0), mode="exact").iterations == 2
+        else:
+            with pytest.raises(BudgetExceeded, match=(
+                    "^iteration 2: the exact result has 10 bits in a "
+                    "numerator or denominator, more than the 3 decimal "
+                    "digits an integer may print as$")):
+                kleene_fixpoint(f, F(0), mode="exact")
 
     def test_divergent_reports_infinite_growth(self):
         f = FunExpr.from_exprs([("x", SAdd(SConst(F(1)), SCoord("x")))])
@@ -575,6 +595,20 @@ class TestFileFormats:
     def test_repeated_label_rejected(self, text, message):
         with pytest.raises(FileFormatError, match=f"^{message}$"):
             parse_matrix(text)
+
+    @pytest.mark.parametrize("text,message", [
+        # the second header replaced the first, and the entry before it
+        # was blamed for naming an unknown index
+        ("rows v\ncols a\nv a 1\ncols b\nv b 1/2\n",
+         "line 4: repeated 'cols' header"),
+        # a second header that only reorders the labels was accepted
+        ("rows v\ncols a b\nv a 1\ncols b a\n",
+         "line 4: repeated 'cols' header"),
+        ("rows v\n\nrows v\ncols a\n", "line 3: repeated 'rows' header"),
+    ], ids=["new-labels", "reordered", "rows"])
+    def test_repeated_header_rejected(self, text, message):
+        with pytest.raises(FileFormatError, match=f"^{message}$"):
+            parse_vector(text)
 
     def test_funexpr_parsing(self):
         f = parse_funexpr("x: 1/4 + 3/4 * x * x\n")
