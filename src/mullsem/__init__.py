@@ -25,8 +25,9 @@ _EXPORTS = {
                 "Tensor", "Top", "Var", "WhyNot", "With", "Zero", "alpha_eq",
                 "check_variance", "free_vars", "nnf", "parse", "substitute",
                 "to_text"),
-    "newton": ("CertifiedResult", "FunExpr", "certified_fixpoint",
-               "check_uniformity", "kleene_fixpoint"),
+    "newton": ("CertifiedResult", "ExactResult", "FunExpr",
+               "certified_fixpoint", "check_uniformity", "exact_fixpoint",
+               "kleene_fixpoint"),
     "phase": ("PhaseSpace", "fact_closure", "holds", "interpret_phase",
               "parse_phase_space", "search_counter_model"),
     "poles": ("PoleSpec", "SemiringMatrix", "Verdict", "bipolar_member",

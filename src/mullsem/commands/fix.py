@@ -1,29 +1,29 @@
 """``mullsem fix``: the least fixpoint of a polynomial system."""
 
 from ..cli import _emit, _read
-from ..errors import FileFormatError
+from ..errors import BudgetExceeded, FileFormatError
 
 
 def run(args):
-    import math
-    from fractions import Fraction
-
     from .. import newton
     expr = newton.parse_funexpr(_read(args.expr))
     try:
-        tol = Fraction(args.tol) if args.mode == "exact" else float(args.tol)
+        tol = float(args.tol)
     except ValueError as exc:
         raise FileFormatError(f"--tol must be a number, got {args.tol!r}") \
             from exc
-    if not 0 < tol < math.inf:  # also false for nan
+    if not 0 < tol < float("inf"):  # also false for nan, and for 1e-5000
         raise FileFormatError("--tol must be positive and finite")
     if args.max_iter <= 0:
         raise FileFormatError("--max-iter must be positive")
-    if args.mode == "exact":
-        result = newton.kleene_fixpoint(expr, tol, args.max_iter, "exact")
-    else:
-        result = newton.certified_fixpoint(expr, tol, args.max_iter)
-    report = result.to_dict()
+    solve = newton.exact_fixpoint if args.mode == "exact" \
+        else newton.certified_fixpoint
+    result = solve(expr, tol, args.max_iter)
+    try:
+        report = result.to_dict()
+    except ValueError as exc:  # str() caps the digits of an int
+        raise BudgetExceeded("the answer has a number with more decimal "
+                             "digits than an integer may print as") from exc
     payload = {"command": "fix", "expr": args.expr,
                "tolerance": str(args.tol), "max_iter": args.max_iter,
                **report}
@@ -31,9 +31,12 @@ def run(args):
     lines.append(f"residual: {report['residual']} "
                  f"(tol {args.tol}, {result.iterations} iterations, "
                  f"mode {result.mode})")
-    if args.mode == "float" and result.certified:
+    if result.certified:
         lines += [f"certified: {n} in [{lo}, {report['upper'][n]}]"
                   for n, lo in report["lower"].items()]
-    elif args.mode == "float":
+    else:
         lines.append("not certified: Kleene iteration from 0")
+    if args.mode == "exact":
+        lines.append("exact: the least fixpoint is upper" if result.exact
+                     else "not exact: the bracket is the answer")
     return _emit(args, payload, lines)

@@ -4,7 +4,8 @@ A ``FunExpr`` maps finite coordinate sets by one scalar expression per
 output, built from constants, + and *; ``.fx`` files hold one such
 expression per coordinate.  ``kleene_fixpoint`` iterates from zero,
 ``certified_fixpoint`` brackets the least fixpoint between two exact
-rational points by Newton steps, and ``check_uniformity`` checks the
+rational points by Newton steps, ``exact_fixpoint`` proves it equal to
+the upper one where it can, and ``check_uniformity`` checks the
 uniformity square of the fixpoint operator.  The ``fix`` command loads
 this module, and not the matrices and poles of ``poles``.
 """
@@ -12,18 +13,14 @@ this module, and not the matrices and poles of ``poles``.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 from .errors import (BudgetExceeded, FileFormatError, IndexMismatch,
                      PreconditionFailed)
 from .record import Record
 from .semiring import INF, RFLOAT, RINF, Semiring
 
-# bits of a numerator or denominator of an exact fixpoint iterate; on a
-# polynomial system they can double at every step
-EXACT_BITS_CAP = 1 << 16
 # bits after the binary point of a Newton iterate, at least; a tolerance
 # finer than 2^-32 adds its own bits
 NEWTON_BITS = 64
@@ -148,96 +145,50 @@ def _num_str(v):
     return repr(float(v))
 
 
-def _sup_diff(sr, lo, hi, coords):
+def _sup_diff(lo, hi, coords):
     """The sup-norm of hi - lo over coords for ascending scalars; equal
     coordinates count 0, so inf - inf is 0 and not nan."""
     return max((hi[n] - lo[n] for n in coords if hi[n] != lo[n]),
-               default=sr.zero)
+               default=0.0)
 
 
-def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000,
-                    mode: str = "float") -> KleeneResult:
-    """Least fixpoint approximation by iteration from the zero vector.
+def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000) -> KleeneResult:
+    """Least fixpoint approximation by float iteration from zero.
 
     Iterates stop when the sup-norm step drops to ``tol``; the returned
     residual is the sup-norm of f(x) - x at the final iterate.  Raises
-    BudgetExceeded (carrying the last iterate) past ``max_iter``, and in
-    exact mode before a step from an iterate wider than EXACT_BITS_CAP
-    and on an answer too wide to print.
+    BudgetExceeded (carrying the last iterate) past ``max_iter``.
     """
     if not f.is_endo():
         raise IndexMismatch("fixpoints need an endo map")
-    sr = RFLOAT if mode == "float" else RINF
-    tol = float(tol) if mode == "float" else Fraction(tol)
-    cur = {n: sr.zero for n in f.inputs}
+    tol = float(tol)
+    cur = {n: 0.0 for n in f.inputs}
     for it in range(1, max_iter + 1):
-        if mode == "exact" and _widest(cur.values()) > EXACT_BITS_CAP:
-            raise BudgetExceeded(
-                f"iteration {it}: an exact iterate has more than "
-                f"{EXACT_BITS_CAP} bits in a numerator or denominator")
-        nxt = f.eval(cur, sr)
+        nxt = f.eval(cur, RFLOAT)
         for n in f.inputs:
-            if not sr.le(cur[n], nxt[n]):
+            if not cur[n] <= nxt[n]:
                 raise AssertionError(
                     f"iterates are not ascending at coordinate {n!r}")
-        step = _sup_diff(sr, cur, nxt, f.inputs)
+        step = _sup_diff(cur, nxt, f.inputs)
         cur = nxt
         if step <= tol:
-            return _printable(KleeneResult(cur, step, it, True, mode))
-    after = f.eval(cur, sr)
-    residual = _sup_diff(sr, cur, after, f.inputs)
-    last = _printable(KleeneResult(cur, residual, max_iter, False, mode))
+            return KleeneResult(cur, step, it, True, "float")
+    after = f.eval(cur, RFLOAT)
+    residual = _sup_diff(cur, after, f.inputs)
     err = BudgetExceeded(
         f"no stabilization within {max_iter} iterations "
         f"(residual {_num_str(residual)})")
-    err.result = last
+    err.result = KleeneResult(cur, residual, max_iter, False, "float")
     raise err
 
 
-def _widest(values):
-    """Bits of the widest numerator or denominator among exact values."""
-    return max((max(v.numerator.bit_length(), v.denominator.bit_length())
-                for v in values if v != INF), default=0)
-
-
-def _printable(result):
-    """result, unless str() cannot write one of its exact values: CPython
-    3.11 (and 3.10.7) caps the digits of an int it converts to decimal."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap
-    if result.mode == "float" or not limit:
-        return result
-    values = [v for v in (*result.values.values(), result.residual)
-              if v != INF]
-    bound = 10 ** limit
-    if all(abs(v.numerator) < bound and v.denominator < bound
-           for v in values):
-        return result
-    raise BudgetExceeded(
-        f"iteration {result.iterations}: the exact result has "
-        f"{_widest(values)} bits in a numerator or denominator, more than "
-        f"the {limit} decimal digits an integer may print as")
-
-
-def _sample_points(coords, sr):
-    grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
-    if sr is RFLOAT:
-        grid = [float(v) for v in grid]
-    pts = []
-    for combo in iproduct(grid, repeat=len(coords)):
-        pts.append(dict(zip(coords, combo)))
-        if len(pts) >= 64:
-            break
-    return pts
-
-
 def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
-                     max_iter: int = 10000, mode: str = "float") -> bool:
-    """Check the uniformity square for the dagger: h . f = g . h on samples,
-    then h(fixpoint(f)) = fixpoint(g) within tol.
+                     max_iter: int = 10000) -> bool:
+    """Check the uniformity square for the dagger: h . f = g . h on up
+    to 64 grid points, then h(fixpoint(f)) = fixpoint(g) within tol.
 
-    Float mode takes each fixpoint from certified_fixpoint (the midpoint
-    of its bracket, or Kleene iteration's value where it certifies
-    none); exact mode from kleene_fixpoint.
+    Each fixpoint comes from certified_fixpoint: the midpoint of its
+    bracket, or Kleene iteration's value where it certifies none.
 
     Raises PreconditionFailed when the square already fails on samples.
     """
@@ -246,25 +197,22 @@ def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
     if set(h.inputs) != set(f.inputs) or \
             set(h.output_names()) != set(g.inputs):
         raise IndexMismatch("h must map the domain of f to the domain of g")
-    sr = RFLOAT if mode == "float" else RINF
-    tolerance = float(tol) if mode == "float" else Fraction(tol)
+    tolerance = float(tol)
     hf = h.compose(f)
     gh = g.compose(h)
-    for point in _sample_points(f.inputs, sr):
-        left = hf.eval(point, sr)
-        right = gh.eval(point, sr)
+    grid = (0.0, 0.25, 0.5, 1.0, 2.0)
+    for combo in islice(iproduct(grid, repeat=len(f.inputs)), 64):
+        point = dict(zip(f.inputs, combo))
+        left = hf.eval(point, RFLOAT)
+        right = gh.eval(point, RFLOAT)
         for n in h.output_names():
             delta = abs(left[n] - right[n])
             if delta > tolerance:
                 raise PreconditionFailed(
                     f"h.f = g.h fails at {point} on {n!r} (delta {delta})")
-    if mode == "float":
-        fdag = certified_fixpoint(f, tol, max_iter)
-        gdag = certified_fixpoint(g, tol, max_iter)
-    else:
-        fdag = kleene_fixpoint(f, tol, max_iter, mode)
-        gdag = kleene_fixpoint(g, tol, max_iter, mode)
-    mapped = h.eval(fdag.values, sr)
+    fdag = certified_fixpoint(f, tol, max_iter)
+    gdag = certified_fixpoint(g, tol, max_iter)
+    mapped = h.eval(fdag.values, RFLOAT)
     gap = max((abs(mapped[n] - gdag.values[n]) for n in h.output_names()),
               default=0)
     return gap <= tolerance
@@ -428,6 +376,17 @@ def _exact_strs(values):
     return {n: str(v) for n, v in sorted(values.items())}
 
 
+class ExactResult(CertifiedResult):
+    """A bracket with ``exact`` True where upper is proved to be mu f;
+    ``values`` is then upper and ``residual`` 0."""
+
+    __slots__ = ("exact",)
+    __match_args__ = CertifiedResult.__match_args__ + __slots__
+
+    def to_dict(self):
+        return {**super().to_dict(), "exact": self.exact}
+
+
 def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
                        ) -> CertifiedResult:
     """Least fixpoint mu f of a polynomial map in an exact bracket, by
@@ -496,10 +455,8 @@ def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
                     {n: _float(v) for n, v in lower.items()}, residual,
                     steps, False, "float", lower, None)
                 raise err
-            inverse = _inverse([[int(i == j) - partials.get(j, 0)
-                                 for j in names]
-                                for i, (_, partials) in zip(names, linear)])
-            if inverse is None or any(v < 0 for row in inverse for v in row):
+            inverse = _monotone_inverse(names, linear)
+            if inverse is None:
                 break
             steps += 1
             rise = {n: _round_down(lower[n] + sum(
@@ -508,10 +465,38 @@ def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
             if all(rise[n] <= lower[n] for n in names):
                 break
             lower = {n: max(lower[n], rise[n]) for n in names}
-    kleene = kleene_fixpoint(f, tol, max_iter - steps, "float")
+    kleene = kleene_fixpoint(f, tol, max_iter - steps)
     return CertifiedResult(kleene.values, kleene.residual,
                            steps + kleene.iterations, kleene.stabilized,
                            "float", lower, None)
+
+
+def exact_fixpoint(f: FunExpr, tol, max_iter: int = 10000) -> ExactResult:
+    """certified_fixpoint's bracket, proved exact where it has closed
+    (upper = lower) or where _is_least(f, upper) holds; otherwise, as at
+    an irrational or critical fixpoint, ``exact`` is False."""
+    res = certified_fixpoint(f, tol, max_iter)
+    exact = res.certified and (res.upper == res.lower
+                               or _is_least(f, res.upper))
+    values, residual = ((res.upper, Fraction(0)) if exact
+                        else (res.values, res.residual))
+    return ExactResult(values, residual, res.iterations, res.stabilized,
+                       "exact", res.lower, res.upper, exact)
+
+
+def _is_least(f: FunExpr, u: dict) -> bool:
+    """Whether a rational point u >= mu f is mu f, by a sufficient test:
+    f(u) = u, and (I - f'(u))^-1 exists with no negative entry.
+
+    For 0 <= y <= u, the Weierstrass product inequality on each monomial
+    gives f(y) >= f(u) + f'(u)(y - u).  At y = mu f, that is
+    (I - f'(u))(mu f - u) >= 0, and the non-negative inverse gives
+    mu f >= u.
+    """
+    body, names = dict(f.outputs), tuple(u)
+    linear = [_linearize(_exact(body[n]), u) for n in names]
+    return all(image == u[n] for n, (image, _) in zip(names, linear)) and \
+        _monotone_inverse(names, linear) is not None
 
 
 def _exact(expr: ScalarExpr):
@@ -552,6 +537,15 @@ def _linearize(expr: ScalarExpr, point: dict):
     raise TypeError(f"not a scalar expression: {expr!r}")
 
 
+def _monotone_inverse(names, linear):
+    """(I - f'(x))^-1 from f's _linearize pairs at x, or None if any < 0."""
+    inverse = _inverse([[int(i == j) - partials.get(j, 0) for j in names]
+                        for i, (_, partials) in zip(names, linear)])
+    if inverse is None or any(v < 0 for row in inverse for v in row):
+        return None
+    return inverse
+
+
 def _inverse(matrix):
     """Inverse of a square rational matrix by Gauss-Jordan elimination
     in Fractions, or None when it is singular."""
@@ -588,3 +582,4 @@ def _upper_bound(body, lower, tol, max_denominator):
                 all(eval_scalar(body[n], u, RINF) <= u[n] for n in u):
             return u
     return None
+

@@ -233,34 +233,48 @@ class TestFix:
         assert code == 1
         assert "residual" in err
 
-    def test_exact_iterates_stop_at_the_bit_cap(self, capsys, tmp_path):
-        # the bit length of the exact iterates doubles at every step
+    def test_exact_mode_answers_the_walk(self, capsys, tmp_path):
+        # Kleene iterates in rationals double in width at every step;
+        # the certificate at the bracket's upper end proves 1/3
         expr = tmp_path / "walk.fx"
         expr.write_text(WALK)
-        code, out, err = run(capsys, "fix", "--expr", str(expr),
-                             "--mode", "exact")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: iteration 17: ")
-        assert "65536 bits" in err
+        code, data, err = run_json(capsys, "fix", "--expr", str(expr),
+                                   "--mode", "exact")
+        assert code == 0 and err == ""
+        assert data["value"] == {"x": "1/3"} and data["residual"] == "0"
+        assert data["exact"] is True and data["mode"] == "exact"
+        assert data["upper"] == {"x": "1/3"}
 
-    def test_exact_answer_too_wide_to_print_is_semantic(self, capsys,
-                                                        tmp_path,
-                                                        monkeypatch):
-        # stabilizes after 16 steps with a 98,304-bit numerator, under
-        # the bit cap's check before each step but past the 4,300 digits
-        # that str() writes of an int by default
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300,
-                            raising=False)
+    @pytest.mark.parametrize("text, value", [
+        ("x: 1/5 + 1/3 * x", "3/10"),
+        ("x: 1/9 + 2/3 * x + 2/9 * x * x", "1/2")])
+    def test_exact_mode_is_the_least_fixpoint(self, capsys, tmp_path, text,
+                                              value):
+        # the least fixpoint itself, not an iterate within the tolerance
+        # such as 581130733/1937102445
+        expr = tmp_path / "exact.fx"
+        expr.write_text(text + "\n")
+        code, data, _ = run_json(capsys, "fix", "--expr", str(expr),
+                                 "--mode", "exact")
+        assert code == 0 and data["exact"] is True
+        assert data["value"] == data["upper"] == {"x": value}
+
+    def test_exact_mode_irrational_fixpoint_is_a_bracket(self, capsys,
+                                                         tmp_path):
+        # the least fixpoint (2 - sqrt 2) / 2 is irrational: the answer
+        # is float mode's bracket
         expr = tmp_path / "quadratic.fx"
         expr.write_text("x: 1/4 + 1/2 * x * x\n")
-        code, out, err = run(capsys, "fix", "--expr", str(expr),
-                             "--mode", "exact")
-        assert code == 1
-        assert out == ""
-        assert err == ("error: iteration 16: the exact result has 98304 "
-                       "bits in a numerator or denominator, more than the "
-                       "4300 decimal digits an integer may print as\n")
+        code, data, err = run_json(capsys, "fix", "--expr", str(expr),
+                                   "--mode", "exact")
+        assert code == 0 and err == ""
+        assert data["exact"] is False and data["certified"] is True
+        lower, upper = (Fraction(data[end]["x"]) for end in ("lower", "upper"))
+        assert 2 * lower ** 2 - 4 * lower + 1 > 0 \
+            > 2 * upper ** 2 - 4 * upper + 1
+        code, floated, _ = run_json(capsys, "fix", "--expr", str(expr))
+        assert {k: v for k, v in data.items() if k not in ("mode", "exact")} \
+            == {k: v for k, v in floated.items() if k != "mode"}
 
     def test_critical_system_is_certified(self, capsys, tmp_path):
         # Kleene iteration is sublinear here and exhausts --max-iter
@@ -284,15 +298,53 @@ class TestFix:
         assert data["value"] == {"x": "inf"}
         assert data["certified"] is False and data["upper"] is None
 
-    def test_exact_mode_keeps_its_fields(self, capsys, tmp_path):
-        expr = tmp_path / "halving.fx"
-        expr.write_text("x: 1/2 + 1/2 * x\n")
+    @pytest.mark.parametrize("text", [WALK, "x: 1/2 + 1/2 * x * x\n",
+                                      "x: 1 + 2 * x\n"],
+                             ids=["exact", "critical", "divergent"])
+    def test_exact_mode_keeps_the_float_fields(self, capsys, tmp_path, text):
+        expr = tmp_path / "map.fx"
+        expr.write_text(text)
         code, data, _ = run_json(capsys, "fix", "--expr", str(expr),
                                  "--mode", "exact")
         assert code == 0
         assert list(data) == ["command", "expr", "tolerance", "max_iter",
                               "value", "residual", "iterations",
-                              "stabilized", "mode"]
+                              "stabilized", "mode", "lower", "upper",
+                              "certified", "exact"]
+        _, floated, _ = run_json(capsys, "fix", "--expr", str(expr))
+        assert list(floated) == list(data)[:-1]
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_tolerance_below_the_least_float_is_input_error(
+            self, capsys, tmp_path, mode):
+        # 1e-5000 is 0 as a float; as a Fraction it would give the
+        # bracket more digits than str() writes of an int
+        expr = tmp_path / "linear.fx"
+        expr.write_text("x: 1/5 + 1/3 * x\n")
+        code, out, err = run(capsys, "fix", "--expr", str(expr),
+                             "--tol", "1e-5000", "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err == "input error: --tol must be positive and finite\n"
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_answer_too_wide_to_print_is_semantic(self, capsys, tmp_path,
+                                                  mode):
+        # the least fixpoint is a 6,001-digit integer; str() of an int
+        # stops at sys.get_int_max_str_digits() (4,300 by default)
+        big = "1" + "0" * 2000
+        expr = tmp_path / "huge.fx"
+        expr.write_text(f"x: {big} * {big} * {big}\n")
+        code, out, err = run(capsys, "fix", "--expr", str(expr),
+                             "--mode", mode)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and limit < 6001:
+            assert code == 1
+            assert out == ""
+            assert err == ("error: the answer has a number with more "
+                           "decimal digits than an integer may print as\n")
+        else:
+            assert code == 0 and err == ""
 
     def test_bad_tolerance(self, capsys, tmp_path):
         expr = tmp_path / "walk.fx"

@@ -1,19 +1,20 @@
+import math
 import pickle
 import random
-import sys
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
 
-from oracles import expanded_partials, oracle_bipolar
+from oracles import expanded_partials, oracle_bipolar, solve_linear
 from mullsem.errors import (BudgetExceeded, DimensionCap, EmptyGenerators,
                             FileFormatError, IndexMismatch, PreconditionFailed)
 from mullsem.fibration import compose_rel
 from mullsem.newton import (NEWTON_DIMENSION_CAP, CertifiedResult, FunExpr,
                             KleeneResult, SAdd, SConst, SCoord, SMul,
-                            _linearize, certified_fixpoint, check_uniformity,
-                            eval_scalar, kleene_fixpoint, parse_funexpr)
+                            _is_least, _linearize, certified_fixpoint,
+                            check_uniformity, eval_scalar, exact_fixpoint,
+                            kleene_fixpoint, parse_funexpr)
 from mullsem.poles import (ChainCounterexample, DownsetClosed, PoleSpec,
                            SemiringMatrix, Verdict, bipolar_member,
                            bipolar_member_matrix, is_admissible_pole,
@@ -246,13 +247,6 @@ class TestKleene:
         out = kleene_fixpoint(f, 1e-9)
         assert abs(out.values["x"] - 1 / 3) <= 1e-9
 
-    def test_exact_mode_linear(self):
-        out = kleene_fixpoint(linear_map(F(1, 2), F(1, 2)),
-                              F(1, 10 ** 9), mode="exact")
-        assert out.mode == "exact"
-        assert isinstance(out.values["x"], F)
-        assert abs(out.values["x"] - 1) <= F(1, 10 ** 9)
-
     def test_budget_exceeded_carries_last(self):
         f = linear_map(F(1, 2), F(1, 2))
         with pytest.raises(BudgetExceeded) as info:
@@ -270,25 +264,6 @@ class TestKleene:
         out = kleene_fixpoint(f, 1e-12)
         u = out.values["u"]
         assert abs(u - (F(1, 4) + F(1, 2) * u * u)) <= 1e-9
-
-    @pytest.mark.parametrize("text,ok", [
-        ("x: 999", True), ("x: 1/999", True),
-        ("x: 1000", False), ("x: 1/1000", False),
-    ])
-    def test_exact_answer_must_print(self, monkeypatch, text, ok):
-        # str() of an int stops at the interpreter's digit limit; the
-        # constant map stabilizes at step 2
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3,
-                            raising=False)
-        f = parse_funexpr(text)
-        if ok:
-            assert kleene_fixpoint(f, F(0), mode="exact").iterations == 2
-        else:
-            with pytest.raises(BudgetExceeded, match=(
-                    "^iteration 2: the exact result has 10 bits in a "
-                    "numerator or denominator, more than the 3 decimal "
-                    "digits an integer may print as$")):
-                kleene_fixpoint(f, F(0), mode="exact")
 
     def test_divergent_reports_infinite_growth(self):
         f = FunExpr.from_exprs([("x", SAdd(SConst(F(1)), SCoord("x")))])
@@ -476,6 +451,98 @@ class TestCertifiedFixpoint:
         f = parse_funexpr("x: 1/2 + 1/2*x*x")
         g = parse_funexpr("y: 1 + 1/4*y*y")
         assert check_uniformity(h, f, g, 1e-9)
+
+
+def _linear_text(names, a, b):
+    return "".join(f"{n}: {c}" + "".join(f" + {m} * {x}"
+                                         for m, x in zip(row, names)) + "\n"
+                   for n, c, row in zip(names, b, a))
+
+
+def _rational_sqrt(v):
+    root = F(math.isqrt(v.numerator), math.isqrt(v.denominator))
+    assert root * root == v
+    return root
+
+
+class TestExactFixpoint:
+    """exact_fixpoint answers mu f itself where its certificate at the
+    bracket's upper end holds, compared exactly with closed forms, and
+    certified_fixpoint's bracket elsewhere."""
+
+    def test_random_linear_systems(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            names = [f"x{i}" for i in range(rng.randint(1, 3))]
+            n = len(names)
+            # row sums at most 2/3, so the spectral radius is below 1
+            a = [[F(rng.randint(0, 2), 3 * n) for _ in names] for _ in names]
+            b = [F(rng.randint(0, 5), rng.randint(1, 6)) for _ in names]
+            text = _linear_text(names, a, b)
+            closed = solve_linear([[int(i == j) - a[i][j] for j in range(n)]
+                                   for i in range(n)], b)
+            out = exact_fixpoint(parse_funexpr(text), 1e-9)
+            assert out.exact, text
+            assert out.values == dict(zip(names, closed)), text
+            assert out.residual == 0 and out.mode == "exact"
+
+    def test_linear_pair(self):
+        text = _linear_text("xy", [[F(0), F(1, 2)], [F(1, 3), F(0)]],
+                            [F(23, 60), F(41, 90)])
+        out = exact_fixpoint(parse_funexpr(text), 1e-9)
+        assert out.exact and out.values == {"x": F(11, 15), "y": F(7, 10)}
+
+    def test_halving_walk(self):
+        out = exact_fixpoint(linear_map(F(1, 2), F(1, 2)), 1e-9)
+        assert out.exact and out.values == {"x": 1} == out.upper
+
+    def test_random_quadratics_with_rational_roots(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            q = F(rng.randint(1, 6), rng.randint(1, 6))
+            root = F(rng.randint(0, 9), 20) / q  # below the vertex 1/(2q)
+            p = root * (1 - q * root)
+            closed = (1 - _rational_sqrt(1 - 4 * p * q)) / (2 * q)
+            out = exact_fixpoint(parse_funexpr(f"x: {p} + {q} * x * x"),
+                                 1e-9)
+            assert out.exact and out.values == {"x": closed}, (p, q)
+
+    def test_zero_bracket_is_exact(self):
+        # f'(0) = 1 makes I - f'(0) singular, but lower = upper = 0
+        out = exact_fixpoint(parse_funexpr("x: x"), 1e-9)
+        assert out.exact and out.values == {"x": 0}
+
+    @pytest.mark.parametrize("text", [
+        "x: 1/4 + 1/2 * x * x",
+        "x: 1/2 + 1/2 * x * x",
+        "x: 1/12 + 3 * x * x",
+        "x: 1/4 + 1/2 * y * y\ny: 1/3 + 1/3 * x",
+        "x: 1 + 2 * x",
+        "".join(f"x{i}: 1/4 + 1/2 * x{i}\n"
+                for i in range(NEWTON_DIMENSION_CAP + 1)),
+    ], ids=["irrational", "critical", "critical-3", "coupled", "divergent",
+            "wide"])
+    def test_bracket_without_certificate(self, text):
+        f = parse_funexpr(text)
+        out = exact_fixpoint(f, 1e-9)
+        bracket = certified_fixpoint(f, 1e-9)
+        assert out.exact is False and out.mode == "exact"
+        assert out._values()[:4] + out._values()[5:-1] \
+            == bracket._values()[:4] + bracket._values()[5:]
+
+    def test_greater_fixpoint_is_refused(self):
+        # x = 3/16 + x^2 has the fixpoints 1/4 and 3/4; f(3/4) = 3/4,
+        # but 1 - f'(3/4) = -1/2 has a negative inverse
+        f = parse_funexpr("x: 3/16 + x * x")
+        assert not _is_least(f, {"x": F(3, 4)})
+        assert _is_least(f, {"x": F(1, 4)})
+        assert exact_fixpoint(f, 1e-9).values == {"x": F(1, 4)}
+
+    def test_non_fixpoint_is_refused(self):
+        # f(1/2) = 1/3 < 1/2 bounds mu f = 1/5 from above, and the
+        # inverse 3/2 is positive
+        assert not _is_least(parse_funexpr("x: 1/6 + 1/3 * x"),
+                             {"x": F(1, 2)})
 
 
 def _random_polynomial(rng, leaves):
