@@ -1,7 +1,7 @@
 """``mullsem fix``: the least fixpoint of a polynomial system."""
 
 from ..cli import _emit, _read
-from ..errors import BudgetExceeded, FileFormatError
+from ..errors import FileFormatError
 
 
 def run(args):
@@ -19,11 +19,7 @@ def run(args):
     solve = newton.exact_fixpoint if args.mode == "exact" \
         else newton.certified_fixpoint
     result = solve(expr, tol, args.max_iter)
-    try:
-        report = result.to_dict()
-    except ValueError as exc:  # str() caps the digits of an int
-        raise BudgetExceeded("the answer has a number with more decimal "
-                             "digits than an integer may print as") from exc
+    report = result.to_dict()
     payload = {"command": "fix", "expr": args.expr,
                "tolerance": str(args.tol), "max_iter": args.max_iter,
                **report}

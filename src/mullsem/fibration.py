@@ -506,13 +506,11 @@ class IndexedPoset:
 class TabularIndexedPoset(IndexedPoset):
     """Indexed poset with explicit fiber lattices and reindexing tables."""
 
-    def __init__(self, base, fibers, reindex_maps, supports_exists=False,
-                 exists_maps=None):
+    def __init__(self, base, fibers, reindex_maps, supports_exists=False):
         super().__init__(base)
         self._fibers = dict(fibers)
         self._reindex = {name: dict(table) for name, table in reindex_maps.items()}
         self.supports_exists = supports_exists
-        self._exists = exists_maps or {}
 
     def fiber(self, c):
         return self._fibers[c]
@@ -522,11 +520,6 @@ class TabularIndexedPoset(IndexedPoset):
             return lambda y: y
         table = self._reindex[f.name]
         return lambda y: table[y]
-
-    def exists_along(self, f, x):
-        if f.name in self._exists:
-            return self._exists[f.name][x]
-        return super().exists_along(f, x)
 
 
 class LiftedFunctor:

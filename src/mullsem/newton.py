@@ -19,7 +19,6 @@ from itertools import islice, product as iproduct
 from .errors import (BudgetExceeded, FileFormatError, IndexMismatch,
                      PreconditionFailed)
 from .record import Record
-from .semiring import INF, RFLOAT, RINF, Semiring
 
 # bits after the binary point of a Newton iterate, at least; a tolerance
 # finer than 2^-32 adds its own bits
@@ -52,51 +51,46 @@ class SMul(ScalarExpr):
     __slots__ = __match_args__ = ("left", "right")
 
 
-def eval_scalar(expr: ScalarExpr, point: dict, sr: Semiring):
+def eval_scalar(expr: ScalarExpr, point: dict):
+    """expr at point, in the numbers of its constants and the point; a
+    zero factor is the product, so 0 * inf is 0 and not nan."""
     match expr:
         case SConst(v):
-            if sr is RFLOAT and isinstance(v, Fraction):
-                return _float(v)
             return v
         case SCoord(name):
             return point[name]
         case SAdd(a, b):
-            return sr.add(eval_scalar(a, point, sr), eval_scalar(b, point, sr))
+            return eval_scalar(a, point) + eval_scalar(b, point)
         case SMul(a, b):
-            return sr.mul(eval_scalar(a, point, sr), eval_scalar(b, point, sr))
+            a, b = eval_scalar(a, point), eval_scalar(b, point)
+            return a and b and a * b
     raise TypeError(f"not a scalar expression: {expr!r}")
 
 
-def _float(v: Fraction) -> float:
+def _float(v) -> float:
     """The float nearest v; inf past the largest float."""
     try:
         return float(v)
     except OverflowError:
-        return INF
-
-
-def subst_scalar(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
-    match expr:
-        case SConst(_):
-            return expr
-        case SCoord(name):
-            return mapping[name]
-        case SAdd(a, b):
-            return SAdd(subst_scalar(a, mapping), subst_scalar(b, mapping))
-        case SMul(a, b):
-            return SMul(subst_scalar(a, mapping), subst_scalar(b, mapping))
-    raise TypeError(f"not a scalar expression: {expr!r}")
+        return math.inf
 
 
 class FunExpr(Record):
     """A map between finite coordinate sets, one scalar expression per output.
 
-    ``outputs`` holds pairs (name, ScalarExpr).  Built from constants, +,
-    * and composition, so every instance is a monotone continuous
-    self-map when inputs and outputs coincide.
+    ``outputs`` holds pairs (name, ScalarExpr).  Built from constants, +
+    and *, so every instance is a monotone continuous self-map when
+    inputs and outputs coincide.
     """
 
-    __slots__ = __match_args__ = ("inputs", "outputs")
+    __match_args__ = ("inputs", "outputs")
+    # outputs with each constant rounded by _float, as eval reads them
+    __slots__ = __match_args__ + ("_floats",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_floats", tuple(
+            (n, _constants(e, _float)) for n, e in self.outputs))
 
     def output_names(self):
         return tuple(n for n, _ in self.outputs)
@@ -104,19 +98,12 @@ class FunExpr(Record):
     def is_endo(self):
         return set(self.inputs) == set(self.output_names())
 
-    def eval(self, point: dict, sr: Semiring) -> dict:
+    def eval(self, point: dict) -> dict:
+        """self at a point of floats, in floats."""
         missing = [n for n in self.inputs if n not in point]
         if missing:
             raise IndexMismatch(f"point is missing coordinates {missing}")
-        return {n: eval_scalar(e, point, sr) for n, e in self.outputs}
-
-    def compose(self, inner: "FunExpr") -> "FunExpr":
-        """self after inner."""
-        if set(inner.output_names()) != set(self.inputs):
-            raise IndexMismatch("inner outputs do not match outer inputs")
-        table = {n: e for n, e in inner.outputs}
-        outs = tuple((n, subst_scalar(e, table)) for n, e in self.outputs)
-        return FunExpr(inner.inputs, outs)
+        return {n: eval_scalar(e, point) for n, e in self._floats}
 
     @classmethod
     def from_exprs(cls, pairs):
@@ -164,7 +151,7 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000) -> KleeneResult:
     tol = float(tol)
     cur = {n: 0.0 for n in f.inputs}
     for it in range(1, max_iter + 1):
-        nxt = f.eval(cur, RFLOAT)
+        nxt = f.eval(cur)
         for n in f.inputs:
             if not cur[n] <= nxt[n]:
                 raise AssertionError(
@@ -173,7 +160,7 @@ def kleene_fixpoint(f: FunExpr, tol, max_iter: int = 10000) -> KleeneResult:
         cur = nxt
         if step <= tol:
             return KleeneResult(cur, step, it, True, "float")
-    after = f.eval(cur, RFLOAT)
+    after = f.eval(cur)
     residual = _sup_diff(cur, after, f.inputs)
     err = BudgetExceeded(
         f"no stabilization within {max_iter} iterations "
@@ -198,13 +185,11 @@ def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
             set(h.output_names()) != set(g.inputs):
         raise IndexMismatch("h must map the domain of f to the domain of g")
     tolerance = float(tol)
-    hf = h.compose(f)
-    gh = g.compose(h)
     grid = (0.0, 0.25, 0.5, 1.0, 2.0)
     for combo in islice(iproduct(grid, repeat=len(f.inputs)), 64):
         point = dict(zip(f.inputs, combo))
-        left = hf.eval(point, RFLOAT)
-        right = gh.eval(point, RFLOAT)
+        left = h.eval(f.eval(point))
+        right = g.eval(h.eval(point))
         for n in h.output_names():
             delta = abs(left[n] - right[n])
             if delta > tolerance:
@@ -212,7 +197,7 @@ def check_uniformity(h: FunExpr, f: FunExpr, g: FunExpr, tol,
                     f"h.f = g.h fails at {point} on {n!r} (delta {delta})")
     fdag = certified_fixpoint(f, tol, max_iter)
     gdag = certified_fixpoint(g, tol, max_iter)
-    mapped = h.eval(fdag.values, RFLOAT)
+    mapped = h.eval(fdag.values)
     gap = max((abs(mapped[n] - gdag.values[n]) for n in h.output_names()),
               default=0)
     return gap <= tolerance
@@ -246,8 +231,8 @@ def parse_funexpr(text: str) -> FunExpr:
 
 
 # Deepest expression a .fx line may hold, within Python's recursion limit:
-# the walks over scalar expressions recurse once per level (composition
-# adds heights), the parser thrice per "(".
+# the walks over scalar expressions recurse once per level, the parser
+# thrice per "(".
 MAX_SCALAR_HEIGHT = 100
 
 
@@ -365,11 +350,16 @@ class CertifiedResult(KleeneResult):
         return self.upper is not None
 
     def to_dict(self):
-        return {**super().to_dict(),
-                "lower": _exact_strs(self.lower),
-                "upper": None if self.upper is None
-                else _exact_strs(self.upper),
-                "certified": self.certified}
+        try:
+            return {**super().to_dict(),
+                    "lower": _exact_strs(self.lower),
+                    "upper": None if self.upper is None
+                    else _exact_strs(self.upper),
+                    "certified": self.certified}
+        except ValueError as exc:  # str() caps the digits of an int
+            raise BudgetExceeded("the answer has a number with more decimal "
+                                 "digits than an integer may print as") \
+                from exc
 
 
 def _exact_strs(values):
@@ -425,7 +415,7 @@ def certified_fixpoint(f: FunExpr, tol, max_iter: int = 10000
     if not f.is_endo():
         raise IndexMismatch("fixpoints need an endo map")
     names = f.inputs
-    body = {n: _exact(e) for n, e in f.outputs}
+    body = {n: _constants(e, _fraction) for n, e in f.outputs}
     exact_tol = Fraction(tol)
     if exact_tol <= 0:
         raise ValueError("the tolerance must be positive")
@@ -494,27 +484,35 @@ def _is_least(f: FunExpr, u: dict) -> bool:
     mu f >= u.
     """
     body, names = dict(f.outputs), tuple(u)
-    linear = [_linearize(_exact(body[n]), u) for n in names]
+    linear = [_linearize(_constants(body[n], _fraction), u)
+              for n in names]
     return all(image == u[n] for n, (image, _) in zip(names, linear)) and \
         _monotone_inverse(names, linear) is not None
 
 
-def _exact(expr: ScalarExpr):
-    """expr with every constant an exact Fraction, or None when a
-    constant is not a finite non-negative rational."""
+def _constants(expr: ScalarExpr, number):
+    """expr with each constant c replaced by number(c), or None where
+    number(c) is None."""
     match expr:
         case SConst(v):
-            try:
-                v = Fraction(v)
-            except (TypeError, ValueError, OverflowError):
-                return None
-            return SConst(v) if v >= 0 else None
+            v = number(v)
+            return None if v is None else SConst(v)
         case SCoord(_):
             return expr
         case SAdd(a, b) | SMul(a, b):
-            a, b = _exact(a), _exact(b)
+            a, b = _constants(a, number), _constants(b, number)
             return None if a is None or b is None else type(expr)(a, b)
     raise TypeError(f"not a scalar expression: {expr!r}")
+
+
+def _fraction(v):
+    """v as an exact Fraction, or None unless it is a finite non-negative
+    rational."""
+    try:
+        v = Fraction(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return v if v >= 0 else None
 
 
 def _linearize(expr: ScalarExpr, point: dict):
@@ -579,7 +577,7 @@ def _upper_bound(body, lower, tol, max_denominator):
     shifted = {n: v + tol / 2 for n, v in lower.items()}
     for u in (snapped, shifted):
         if all(u[n] - lower[n] <= tol for n in u) and \
-                all(eval_scalar(body[n], u, RINF) <= u[n] for n in u):
+                all(eval_scalar(body[n], u) <= u[n] for n in u):
             return u
     return None
 

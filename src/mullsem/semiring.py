@@ -2,8 +2,7 @@
 
 The multiplication convention is 0 * inf = 0 and x * inf = inf for
 x > 0, which keeps matrix composition total.  The real semiring works
-on exact rationals by default and has an inexact floating mode used
-only by the fixpoint iterator.
+on exact rationals.
 """
 
 from __future__ import annotations
@@ -131,24 +130,9 @@ class RInfSemiring(_ExtendedNumeric):
                 Fraction(7, 3), INF]
 
 
-class RFloatSemiring(_ExtendedNumeric):
-    """Inexact floating twin of the completed reals (fixpoint mode only)."""
-
-    name = "rinf-float"
-    zero = 0.0
-    one = 1.0
-
-    def is_value(self, v):
-        return isinstance(v, float) and v >= 0.0
-
-    def sample_values(self):
-        return [0.0, 0.5, 1.0, 2.5]
-
-
 BOOL = BoolSemiring()
 NINF = NInfSemiring()
 RINF = RInfSemiring()
-RFLOAT = RFloatSemiring()
 
 
 def check_semiring_laws(sr: Semiring):

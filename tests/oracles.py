@@ -210,6 +210,17 @@ def monomial_expansion(expr):
     raise TypeError(expr)
 
 
+def expanded_value(expr, point):
+    """A polynomial scalar expression at point, in exact rationals, term
+    by term from its expansion."""
+    total = Fraction(0)
+    for mono, coef in monomial_expansion(expr).items():
+        for name, e in mono:
+            coef *= Fraction(point[name]) ** e
+        total += coef
+    return total
+
+
 def expanded_partials(expr, point):
     """The non-zero partial derivatives {j: df/dx_j} of a polynomial
     scalar expression at point, term by term from its expansion."""

@@ -389,9 +389,13 @@ class TestFix:
     @pytest.mark.parametrize("text, value", [
         ("x: 1 + 2 * y\ny: 1 + 2 * x\n", {"x": "inf", "y": "inf"}),
         ("x: 1 + 2 * x + y\ny: 1/4 + 1/2 * y\n", {"x": "inf", "y": "0.5"}),
-    ], ids=["both", "one"])
+        ("x: 1/2 + 1" + "0" * 400 + " * x\n", {"x": "inf"}),
+    ], ids=["both", "one", "coefficient-past-the-largest-float"])
     def test_divergent_system_reads_inf(self, tmp_path, text, value):
-        # the sup-norm step mixes finite and infinite coordinates
+        # the sup-norm step mixes finite and infinite coordinates; a
+        # coefficient past the largest float reads inf, and the first
+        # step 1/2 + inf * 0 is 1/2 because 0 * inf is 0: nan would not
+        # ascend
         expr = tmp_path / "divergent.fx"
         expr.write_text(text)
         proc = run_child("fix", "--expr", str(expr))

@@ -133,8 +133,9 @@ def _cli_modules(*argv):
 # Records.  No command loads the morphism side (fibration) or the wrel
 # bridge; fix loads the polynomial systems (newton) but not the matrices
 # and poles, polar and admissible the other way round, and only polar
-# loads the LP (simplex); the wrel report names its semiring without
-# loading semiring (or fractions).
+# loads the LP (simplex).  newton computes in plain numbers, so fix loads
+# no semiring; the wrel report names its semiring without loading
+# semiring (or fractions).
 @pytest.mark.parametrize("argv,needed,unused", [
     (["variance", "mu x. 1 + x"], {"formula"},
      {"relmodel", "totality", "phase", "dataclasses"}),
@@ -148,8 +149,8 @@ def _cli_modules(*argv):
     (["phase-search", "--max-size", "3", "1 -o 1"], {"formula", "phase"},
      {"relmodel", "totality", "dataclasses"}),
     (["fix", "--expr", "{walk}"], {"newton"},
-     {"formula", "relmodel", "totality", "phase", "poles", "simplex",
-      "dataclasses"}),
+     {"formula", "relmodel", "totality", "phase", "poles", "semiring",
+      "simplex", "dataclasses"}),
     (["admissible", "--pole", "nat"], {"poles"},
      {"formula", "relmodel", "totality", "phase", "newton", "simplex",
       "dataclasses"}),

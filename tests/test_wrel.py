@@ -1,12 +1,14 @@
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
 
-from oracles import expanded_partials, oracle_bipolar, solve_linear
+from oracles import (expanded_partials, expanded_value, oracle_bipolar,
+                     solve_linear)
 from mullsem.errors import (BudgetExceeded, DimensionCap, EmptyGenerators,
                             FileFormatError, IndexMismatch, PreconditionFailed)
 from mullsem.fibration import compose_rel
@@ -21,15 +23,14 @@ from mullsem.poles import (ChainCounterexample, DownsetClosed, PoleSpec,
                            nat_pole, parse_matrix, parse_vector, pcoh_pole,
                            render_matrix, totality_pole, vector)
 from mullsem.relmodel import Carrier, Relation
-from mullsem.semiring import (BOOL, INF, NINF, RFLOAT, RINF,
-                              check_semiring_laws)
+from mullsem.semiring import BOOL, INF, NINF, RINF, check_semiring_laws
 from mullsem.wrel import (compose, identity_matrix, matrix_to_relation,
                           orthogonal_pair, relation_to_matrix)
 
 
 class TestSemirings:
     def test_laws_spot_checked(self):
-        for sr in (BOOL, NINF, RINF, RFLOAT):
+        for sr in (BOOL, NINF, RINF):
             assert check_semiring_laws(sr)
 
     def test_infinity_conventions(self):
@@ -544,6 +545,21 @@ class TestExactFixpoint:
         assert not _is_least(parse_funexpr("x: 1/6 + 1/3 * x"),
                              {"x": F(1, 2)})
 
+    def test_bound_too_wide_to_print_is_a_budget_error(self):
+        # the bracket proves 3/10, but its lower end is a multiple of
+        # 2^-16642, whose numerator has more digits than str() writes
+        out = exact_fixpoint(parse_funexpr("x: 1/5 + 1/3 * x"),
+                             F("1e-5000"))
+        assert out.exact and out.values == {"x": F(3, 10)}
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and limit < 5000:
+            with pytest.raises(BudgetExceeded, match=(
+                    "^the answer has a number with more decimal digits "
+                    "than an integer may print as$")):
+                out.to_dict()
+        else:
+            assert out.to_dict()["value"] == {"x": "3/10"}
+
 
 def _random_polynomial(rng, leaves):
     """A random scalar expression with the given number of leaves, over
@@ -565,12 +581,12 @@ def _random_point(rng):
 
 class TestLinearize:
     """A Newton step's image f(x) and Jacobian f'(x) come from one exact
-    forward pass, checked against eval_scalar and a monomial
-    expansion."""
+    forward pass, checked against a monomial expansion and against
+    eval_scalar, which evaluates exactly at an exact point."""
 
     def _check(self, expr, point):
         value, partials = _linearize(expr, point)
-        assert value == eval_scalar(expr, point, RINF)
+        assert value == expanded_value(expr, point) == eval_scalar(expr, point)
         assert partials == expanded_partials(expr, point)
         assert all(d > 0 for d in partials.values())
 
@@ -680,8 +696,15 @@ class TestFileFormats:
     def test_funexpr_parsing(self):
         f = parse_funexpr("x: 1/4 + 3/4 * x * x\n")
         assert f.is_endo()
-        out = f.eval({"x": 1.0}, RFLOAT)
+        out = f.eval({"x": 1.0})
         assert out["x"] == 1.0
+
+    def test_funexpr_eval_rounds_a_constant_past_the_largest_float(self):
+        # each constant is rounded to the nearest float, inf past the
+        # largest, and a zero factor keeps a product at 0, not nan
+        f = parse_funexpr(f"x: {10 ** 400} * x + 1/2\ny: {10 ** 400}\n")
+        assert f.eval({"x": 0.5, "y": 0.0}) == {"x": math.inf, "y": math.inf}
+        assert f.eval({"x": 0.0, "y": 0.0}) == {"x": 0.5, "y": math.inf}
 
     def test_funexpr_errors(self):
         with pytest.raises(FileFormatError):
