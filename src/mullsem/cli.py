@@ -98,25 +98,15 @@ def _read(path):
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
-# command -> its module in mullsem.commands; main imports only the
-# module of the command it runs
-_COMMANDS = {
-    "variance": "variance",
-    "interp": "interp",
-    "phase-search": "phase_search",
-    "fix": "fix",
-    "polar": "polar",
-    "admissible": "admissible",
-}
-
 _INPUT_ERRORS = (ParseError, FileFormatError, UnboundVariable)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = import_module(f".commands.{_COMMANDS[args.command]}",
-                            __package__)
+    # the subcommand's module of mullsem.commands: its name, - read as _
+    command = import_module(
+        f".commands.{args.command.replace('-', '_')}", __package__)
     try:
         code = command.run(args)
         sys.stdout.flush()

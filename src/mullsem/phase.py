@@ -258,10 +258,6 @@ def fact_closure(space: PhaseSpace, subset) -> frozenset:
     return space.set_of(space.batch().closure(space.mask_of(subset)))
 
 
-def orthogonal_fact(space: PhaseSpace, subset) -> frozenset:
-    return space.set_of(space.orthogonal_mask(space.mask_of(subset)))
-
-
 def interpret_phase(space: PhaseSpace, f: Formula, env=None) -> frozenset:
     """The fact denoted by a formula (environment entries must be facts).
 

@@ -308,14 +308,3 @@ def parse_vector(text: str) -> SemiringMatrix:
         raise FileFormatError("a vector file must have exactly one row")
     values = {c: mat.get(mat.rows[0], c) for c in mat.cols}
     return vector(RINF, mat.cols, values)
-
-
-def render_matrix(mat: SemiringMatrix) -> str:
-    lines = ["rows " + " ".join(str(r) for r in mat.rows),
-             "cols " + " ".join(str(c) for c in mat.cols)]
-    for r in mat.rows:
-        for c in mat.cols:
-            v = mat.get(r, c)
-            if v != mat.semiring.zero:
-                lines.append(f"{r} {c} {mat.semiring.to_str(v)}")
-    return "\n".join(lines) + "\n"

@@ -394,11 +394,6 @@ def _interning():
         _ELEMENTS.reset(token)
 
 
-def bags_over(elems, max_size: int):
-    """All multisets of the given elements with size <= max_size."""
-    return list(_bags(sorted(elems, key=sort_key), max_size))
-
-
 def _bags(base, max_size: int) -> tuple:
     # over a base in sort_key order, combinations_with_replacement yields
     # each size's bags in key order, and sizes are emitted in key order

@@ -134,28 +134,3 @@ BOOL = BoolSemiring()
 NINF = NInfSemiring()
 RINF = RInfSemiring()
 
-
-def check_semiring_laws(sr: Semiring):
-    """Spot-check the semiring laws on the declared sample values."""
-    vals = sr.sample_values()
-    for a in vals:
-        if sr.add(a, sr.zero) != a or sr.mul(a, sr.one) != a:
-            raise AssertionError(f"{sr.name}: unit laws fail at {a!r}")
-        if sr.mul(a, sr.zero) != sr.zero:
-            raise AssertionError(f"{sr.name}: absorption fails at {a!r}")
-    for a in vals:
-        for b in vals:
-            if sr.add(a, b) != sr.add(b, a) or sr.mul(a, b) != sr.mul(b, a):
-                raise AssertionError(f"{sr.name}: commutativity fails")
-            for c in vals:
-                if sr.add(sr.add(a, b), c) != sr.add(a, sr.add(b, c)):
-                    raise AssertionError(f"{sr.name}: + associativity fails")
-                if sr.mul(sr.mul(a, b), c) != sr.mul(a, sr.mul(b, c)):
-                    raise AssertionError(f"{sr.name}: * associativity fails")
-                if sr.mul(a, sr.add(b, c)) != sr.add(sr.mul(a, b), sr.mul(a, c)):
-                    raise AssertionError(f"{sr.name}: distributivity fails")
-                if sr.le(a, b) and not sr.le(sr.add(a, c), sr.add(b, c)):
-                    raise AssertionError(f"{sr.name}: + not monotone")
-                if sr.le(a, b) and not sr.le(sr.mul(a, c), sr.mul(b, c)):
-                    raise AssertionError(f"{sr.name}: * not monotone")
-    return True

@@ -1,5 +1,5 @@
-"""Weighted relations over continuous semirings: composition, the
-pairing with a pole, and the bridge with the relational model.
+"""Weighted relations over continuous semirings: composition and the
+pairing with a pole.
 
 The model's parts live in two modules, so that each command loads only
 its own: ``poles`` holds matrices, poles, admissibility and bipolar
@@ -16,13 +16,6 @@ from .errors import IndexMismatch
 from .newton import FunExpr, check_uniformity, kleene_fixpoint  # noqa: F401
 from .poles import (VECTOR_ROW, PoleSpec, SemiringMatrix,  # noqa: F401
                     Verdict, bipolar_member, is_admissible_pole)
-from .semiring import BOOL, Semiring
-
-
-def identity_matrix(semiring: Semiring, index) -> SemiringMatrix:
-    index = tuple(index)
-    return SemiringMatrix(semiring, index, index,
-                          {(i, i): semiring.one for i in index})
 
 
 def compose(f: SemiringMatrix, g: SemiringMatrix) -> SemiringMatrix:
@@ -41,9 +34,9 @@ def compose(f: SemiringMatrix, g: SemiringMatrix) -> SemiringMatrix:
         for c, v in by_row.get(b, ()):
             key = (a, c)
             out[key] = sr.add(out.get(key, sr.zero), sr.mul(u, v))
-    # a product can still be zero (a float underflow)
-    return SemiringMatrix._trusted(
-        sr, f.rows, g.cols, {k: v for k, v in out.items() if v != sr.zero})
+    # no shipped semiring has zero divisors, and a sum of non-zero values
+    # is non-zero in each, so no entry of out is zero
+    return SemiringMatrix._trusted(sr, f.rows, g.cols, out)
 
 
 def orthogonal_pair(x: SemiringMatrix, y: SemiringMatrix, pole) -> bool:
@@ -54,21 +47,3 @@ def orthogonal_pair(x: SemiringMatrix, y: SemiringMatrix, pole) -> bool:
     total = sr.sum(sr.mul(x.get(VECTOR_ROW, a), y.get(VECTOR_ROW, a))
                    for a in x.cols)
     return pole.member(total)
-
-
-# ---------------------------------------------------------------------------
-# cross-model bridge with the relational model
-
-def relation_to_matrix(rel) -> SemiringMatrix:
-    """Boolean matrix of a relation from the relational model."""
-    # a relation's pairs lie in its carriers, whose elements are distinct
-    return SemiringMatrix._trusted(BOOL, rel.src.elems, rel.tgt.elems,
-                                   {(a, b): True for a, b in rel.pairs})
-
-
-def matrix_to_relation(mat: SemiringMatrix):
-    from .relmodel import Carrier, Relation
-    if mat.semiring is not BOOL:
-        raise ValueError("only boolean matrices induce relations")
-    return Relation._trusted(Carrier(mat.rows), Carrier(mat.cols),
-                             frozenset(k for k, v in mat.entries.items() if v))

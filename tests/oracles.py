@@ -2,7 +2,9 @@
 
 Everything here recomputes expected values by brute force (explicit
 powerset scans, exhaustive enumeration, Gaussian elimination) without
-touching the code paths under test.
+touching the code paths under test.  The helpers that only tests call
+live here too: the Boolean bridge between relations and matrices, the
+semiring law check, a matrix renderer and a phase orthogonal.
 """
 
 import random
@@ -338,7 +340,83 @@ def fixpoint_sample(count, seed):
 
 
 # ---------------------------------------------------------------------------
+# weighted matrices: the Boolean bridge with rel, the semiring laws and
+# the matrix file format
+
+def identity_matrix(semiring, index):
+    from mullsem.poles import SemiringMatrix
+    index = tuple(index)
+    return SemiringMatrix(semiring, index, index,
+                          {(i, i): semiring.one for i in index})
+
+
+def relation_to_matrix(rel):
+    """Boolean matrix of a relation from the relational model."""
+    from mullsem.poles import SemiringMatrix
+    from mullsem.semiring import BOOL
+    # a relation's pairs lie in its carriers, whose elements are distinct
+    return SemiringMatrix._trusted(BOOL, rel.src.elems, rel.tgt.elems,
+                                   {(a, b): True for a, b in rel.pairs})
+
+
+def matrix_to_relation(mat, src, tgt):
+    """The relation src -> tgt of a Boolean matrix indexed by the
+    elements of src and tgt, such as a composite of relation_to_matrix
+    results."""
+    from mullsem.relmodel import Relation
+    from mullsem.semiring import BOOL
+    assert mat.semiring is BOOL, "only boolean matrices induce relations"
+    assert mat.rows == src.elems and mat.cols == tgt.elems, \
+        "the matrix is not indexed by the carriers"
+    assert all(mat.entries.values()), "a zero entry is stored"
+    return Relation._trusted(src, tgt, frozenset(mat.entries))
+
+
+def check_semiring_laws(sr):
+    """Spot-check the semiring laws on the declared sample values."""
+    vals = sr.sample_values()
+    for a in vals:
+        if sr.add(a, sr.zero) != a or sr.mul(a, sr.one) != a:
+            raise AssertionError(f"{sr.name}: unit laws fail at {a!r}")
+        if sr.mul(a, sr.zero) != sr.zero:
+            raise AssertionError(f"{sr.name}: absorption fails at {a!r}")
+    for a in vals:
+        for b in vals:
+            if sr.add(a, b) != sr.add(b, a) or sr.mul(a, b) != sr.mul(b, a):
+                raise AssertionError(f"{sr.name}: commutativity fails")
+            for c in vals:
+                if sr.add(sr.add(a, b), c) != sr.add(a, sr.add(b, c)):
+                    raise AssertionError(f"{sr.name}: + associativity fails")
+                if sr.mul(sr.mul(a, b), c) != sr.mul(a, sr.mul(b, c)):
+                    raise AssertionError(f"{sr.name}: * associativity fails")
+                if sr.mul(a, sr.add(b, c)) != sr.add(sr.mul(a, b), sr.mul(a, c)):
+                    raise AssertionError(f"{sr.name}: distributivity fails")
+                if sr.le(a, b) and not sr.le(sr.add(a, c), sr.add(b, c)):
+                    raise AssertionError(f"{sr.name}: + not monotone")
+                if sr.le(a, b) and not sr.le(sr.mul(a, c), sr.mul(b, c)):
+                    raise AssertionError(f"{sr.name}: * not monotone")
+    return True
+
+
+def render_matrix(mat):
+    """A matrix in the file format that poles.parse_matrix reads."""
+    lines = ["rows " + " ".join(str(r) for r in mat.rows),
+             "cols " + " ".join(str(c) for c in mat.cols)]
+    for r in mat.rows:
+        for c in mat.cols:
+            v = mat.get(r, c)
+            if v != mat.semiring.zero:
+                lines.append(f"{r} {c} {mat.semiring.to_str(v)}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # phase semantics on explicit sets (reference for the phase module)
+
+def orthogonal_fact(space, subset):
+    """The orthogonal of a subset, through the space's own batch."""
+    return space.set_of(space.orthogonal_mask(space.mask_of(subset)))
+
 
 def phase_orthogonal_set(space, xs):
     """{ y | forall x in xs. xy in P }, the orthogonal of a set of names."""

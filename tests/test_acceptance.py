@@ -11,7 +11,8 @@ from itertools import product as iproduct
 
 from oracles import (brute_orthogonal, brute_upward_closure,
                      certify_final_lifted, certify_initial_lifted,
-                     explicit_members, oracle_bipolar, powerset)
+                     explicit_members, matrix_to_relation, oracle_bipolar,
+                     orthogonal_fact, powerset, relation_to_matrix)
 from test_fibration import INSTANCES
 from test_phase import CORPUS
 from mullsem.budgets import Budgets
@@ -19,15 +20,14 @@ from mullsem.formula import Mu, Neg, Nu, parse, nnf, substitute
 from mullsem.fibration import compose_rel, copoint, point
 from mullsem.newton import (FunExpr, SAdd, SConst, SCoord, SMul,
                             check_uniformity, kleene_fixpoint)
-from mullsem.phase import (enumerate_spaces, fact_closure, interpret_phase,
-                           orthogonal_fact)
+from mullsem.phase import enumerate_spaces, fact_closure, interpret_phase
 from mullsem.poles import (Verdict, bipolar_member, is_admissible_pole,
                            nat_pole, pcoh_pole, totality_pole)
 from mullsem.relmodel import Carrier, Fold, InL, InR, Relation, UNIT
 from mullsem.semiring import BOOL
 from mullsem.totality import (biclosure, interpret_totality, orthogonal,
                               restrict_antichain)
-from mullsem.wrel import compose, matrix_to_relation, relation_to_matrix
+from mullsem.wrel import compose
 
 
 def report(number, label, started, limit=None):
@@ -248,11 +248,12 @@ def test_criterion_9_cross_model_coherence():
         bc_rels = [Relation(b, c, frozenset(
             p for i, p in enumerate(bc_cells) if m >> i & 1))
             for m in range(1 << len(bc_cells))]
+        bc_mats = [relation_to_matrix(r2) for r2 in bc_rels]
         for r1 in ab_rels:
             m1 = relation_to_matrix(r1)
-            for r2 in bc_rels:
+            for r2, m2 in zip(bc_rels, bc_mats):
                 direct = compose_rel(r1, r2)
-                weighted = compose(m1, relation_to_matrix(r2))
-                assert matrix_to_relation(weighted) == direct
+                weighted = compose(m1, m2)
+                assert matrix_to_relation(weighted, a, c) == direct
                 checked += 1
     report(9, f"cross-model coherence ({checked} composites)", started)

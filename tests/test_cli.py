@@ -608,11 +608,10 @@ class TestExitCodes:
     def test_error_exit_code(self, capsys, monkeypatch, error):
         def command(args):
             raise error
-        # main runs the command module that _COMMANDS names
-        failing = types.ModuleType("mullsem.commands.failing")
+        # main runs mullsem.commands.variance, found in sys.modules
+        failing = types.ModuleType("mullsem.commands.variance")
         failing.run = command
         monkeypatch.setitem(sys.modules, failing.__name__, failing)
-        monkeypatch.setitem(cli._COMMANDS, "variance", "failing")
         code, out, err = run(capsys, "variance", "1")
         assert out == ""
         if isinstance(error, INPUT_ERRORS):

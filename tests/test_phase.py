@@ -3,8 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from oracles import (brute_commutative_monoid_count, phase_fact,
-                     phase_orthogonal_set, powerset, random_phase_formulas)
+from oracles import (brute_commutative_monoid_count, orthogonal_fact,
+                     phase_fact, phase_orthogonal_set, powerset,
+                     random_phase_formulas)
 from mullsem import _kernels as kernels
 from mullsem import phase
 from mullsem.errors import (FileFormatError, IterationBudgetExceeded,
@@ -13,8 +14,7 @@ from mullsem.formula import Mu, Neg, Nu, fold, parse, nnf, substitute
 from mullsem.phase import (PhaseSpace, PoleBatch,
                            enumerate_commutative_monoids,
                            enumerate_spaces, fact_closure, holds,
-                           interpret_phase, orthogonal_fact,
-                           parse_phase_space, render_phase_space,
+                           interpret_phase, parse_phase_space, render_phase_space,
                            search_counter_model, space_from_table)
 
 SIGN = PhaseSpace(("1", "-1"), "1",

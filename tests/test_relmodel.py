@@ -26,7 +26,7 @@ from mullsem.formula import (Bot, Mu, Neg, Nu, OfCourse, One, Par, Plus,
 from mullsem import relmodel
 from mullsem.relmodel import (Bag, Carrier, EMPTY_CARRIER, Fold, InL, InR,
                               Pair, Relation, UNIT, Unit, bag_carrier,
-                              bags_over, fold_depth, interpret_carrier,
+                              fold_depth, interpret_carrier,
                               pair_carrier, render_elem, sort_key,
                               sum_carrier)
 from mullsem.totality import interpret_totality
@@ -440,8 +440,8 @@ class TestPointsAndDepth:
         assert list(c) == sorted(c, key=lambda e: str(e)) or True
         assert list(c.elems) == list(Carrier(reversed(c.elems)).elems)
 
-    def test_bags_over_budget(self):
-        out = bags_over(["a", "b"], 2)
+    def test_bag_carrier_budget(self):
+        out = bag_carrier(Carrier(["a", "b"]), 2)
         assert len(out) == 1 + 2 + 3
 
 
@@ -603,7 +603,11 @@ class TestCanonicalOrder:
             for k in range(4):
                 bags = bag_carrier(a, k)
                 assert bags.elems == _sorted_copy(bags).elems
-                assert list(bags.elems) == bags_over(a, k)
+                # every multiset of size <= k over a, each once
+                expected = {Bag(m) for n in range(k + 1) for m in
+                            combinations_with_replacement(a.elems, n)}
+                assert len(bags) == len(expected)
+                assert set(bags.elems) == expected
                 assert bags.stabilized == a.stabilized
 
     def test_index_layout(self):

@@ -26,7 +26,7 @@ from mullsem.formula import (EMPTY_CONTEXT, Mu, check_variance, fold, parse,
                              substitute, to_text)
 from mullsem.lattice import iterate
 from mullsem.relmodel import (Bag, Carrier, Fold, InL, InR, Pair, Relation,
-                              UNIT, bags_over, bit_indices, fold_depth,
+                              UNIT, bag_carrier, bit_indices, fold_depth,
                               interpret_carrier)
 from mullsem.totality import (TotalitySpace, UpFamily, _reindex_along_fold,
                               biclosure, interpret_totality, orthogonal,
@@ -557,8 +557,8 @@ def _element_tensor(sa, sb):
 
 
 def _element_bang(s, bag):
-    carrier = Carrier(bags_over(s.carrier, bag))
-    minima = [carrier.mask_of(frozenset(bags_over(x, bag)))
+    carrier = bag_carrier(s.carrier, bag)
+    minima = [carrier.mask_of(frozenset(bag_carrier(Carrier(x), bag).elems))
               for x in s.family.min_sets()]
     return UpFamily(carrier, kernels.minimize_family(minima))
 
