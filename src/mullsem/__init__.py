@@ -18,8 +18,13 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "budgets": ("Budgets", "DEFAULT_BUDGETS"),
-    "fibration": ("FiniteLattice", "MonotoneOp", "check_total_morphism",
-                  "compose_rel", "functor_on_relations", "gfp", "lfp"),
+    "fibration": ("Endofunctor", "FinCategory", "FiniteLattice",
+                  "IndexedPoset", "LiftedFunctor", "Morphism",
+                  "check_total_morphism", "compose_rel", "copoint",
+                  "direct_image_family", "family_lattice",
+                  "functor_on_relations", "gfp", "identity_rel", "lfp",
+                  "lift_final_coalgebra", "lift_initial_algebra", "point",
+                  "preimage_family"),
     "formula": ("Bot", "Context", "EMPTY_CONTEXT", "Formula", "Lolli", "Mu",
                 "Neg", "Nu", "OfCourse", "One", "Par", "Plus", "Sort",
                 "Tensor", "Top", "Var", "WhyNot", "With", "Zero", "alpha_eq",

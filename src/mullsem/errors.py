@@ -73,10 +73,6 @@ class NotInvertible(MullsemError):
     """The supplied structure map has no two-sided inverse."""
 
 
-class NotSupported(MullsemError):
-    """The indexed poset does not declare the requested capability."""
-
-
 class IndexMismatch(MullsemError):
     """Matrix index sets do not line up for the requested operation."""
 

@@ -12,7 +12,8 @@ The morphism side of the models lives here as well: finite lattices
 with their least and greatest fixpoints, the identities, composites,
 points and functorial action of relations, and total morphisms with
 reindexing and the family lattice of totality spaces.  No command runs
-any of it, so no command loads this module.
+any of it, so no command loads this module; the package exports it as
+the API of the lifting theorems.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import product as iproduct
 from . import _kernels as kernels
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (CarrierMismatch, CarrierTooLarge, LatticeError,
-                     NotInvertible, NotSupported)
+                     NotInvertible)
 from .formula import Formula
 from .lattice import iterate
 from .record import Record
@@ -36,11 +37,20 @@ from .totality import TotalitySpace, UpFamily, biclosure
 VALIDATION_SIZE_BOUND = 500
 
 
+def _least(candidates, le, missing):
+    """The candidate below every other under le, by scanning; raises
+    LatticeError(missing) when none is."""
+    for c in candidates:
+        if all(le(c, d) for d in candidates):
+            return c
+    raise LatticeError(missing)
+
+
 class FiniteLattice:
     """A finite lattice given by an element list and a decidable order.
 
-    Meets and joins are computed by scanning and cached; ``validate``
-    checks the lattice laws exhaustively (intended for <= ~500 elements).
+    Bounds, meets and joins are computed by scanning; ``validate`` checks
+    the lattice laws exhaustively (intended for <= ~500 elements).
     """
 
     def __init__(self, elements, le, name="lattice"):
@@ -49,44 +59,20 @@ class FiniteLattice:
             raise LatticeError("duplicate elements")
         if not self.elements:
             raise LatticeError("a lattice needs at least one element")
-        self._le = le
+        self.le = le
         self.name = name
-        self._meet_cache = {}
-        self._join_cache = {}
-        self.bottom = self._find_bound(lambda a, b: self.le(a, b))
-        self.top = self._find_bound(lambda a, b: self.le(b, a))
-
-    def _find_bound(self, below):
-        for a in self.elements:
-            if all(below(a, b) for b in self.elements):
-                return a
-        raise LatticeError(f"{self.name}: no global bound")
-
-    def le(self, a, b) -> bool:
-        return self._le(a, b)
+        self.bottom = _least(self.elements, le, f"{name}: no global bound")
+        self.top = _least(self.elements, lambda a, b: le(b, a),
+                          f"{name}: no global bound")
 
     def meet(self, a, b):
-        key = (a, b)
-        if key not in self._meet_cache:
-            self._meet_cache[key] = self._bound(a, b, lower=True)
-        return self._meet_cache[key]
+        return _least([c for c in self if self.le(c, a) and self.le(c, b)],
+                      lambda c, d: self.le(d, c),
+                      f"{self.name}: no meet of {a!r} and {b!r}")
 
     def join(self, a, b):
-        key = (a, b)
-        if key not in self._join_cache:
-            self._join_cache[key] = self._bound(a, b, lower=False)
-        return self._join_cache[key]
-
-    def _bound(self, a, b, lower):
-        if lower:
-            cands = [c for c in self.elements if self.le(c, a) and self.le(c, b)]
-        else:
-            cands = [c for c in self.elements if self.le(a, c) and self.le(b, c)]
-        for c in cands:
-            if all(self.le(d, c) if lower else self.le(c, d) for d in cands):
-                return c
-        kind = "meet" if lower else "join"
-        raise LatticeError(f"{self.name}: no {kind} of {a!r} and {b!r}")
+        return _least([c for c in self if self.le(a, c) and self.le(b, c)],
+                      self.le, f"{self.name}: no join of {a!r} and {b!r}")
 
     def validate(self):
         """Exhaustive check of the poset and lattice laws."""
@@ -137,43 +123,20 @@ class FiniteLattice:
                    name=name or f"powerset{len(base)}")
 
 
-class MonotoneOp:
-    """An endofunction on a finite lattice carrying a monotonicity obligation."""
+def lfp(lattice: FiniteLattice, fn):
+    """Least fixpoint of a monotone fn on a lattice, by ascending iteration.
 
-    def __init__(self, lattice: FiniteLattice, fn, name="op"):
-        self.lattice = lattice
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def check_monotone(self):
-        """Exhaustive monotonicity check; raises LatticeError on failure."""
-        lat = self.lattice
-        for a in lat:
-            for b in lat:
-                if lat.le(a, b) and not lat.le(self.fn(a), self.fn(b)):
-                    raise LatticeError(
-                        f"{self.name}: not monotone at {a!r} <= {b!r}")
-        return True
-
-
-
-def lfp(op: MonotoneOp):
-    """Least fixpoint of a monotone operator, by ascending iteration.
-
-    The result r satisfies op(r) = r and r <= s for every pre-fixpoint
-    op(s) <= s.  On a finite lattice the iteration from bottom always
-    stabilizes within len(lattice) + 1 steps; the budget guards
-    adapters over non-finite fibers.
+    The result r satisfies fn(r) = r and r <= s for every pre-fixpoint
+    fn(s) <= s.  On a finite lattice the iteration from bottom always
+    stabilizes within len(lattice) + 1 steps; the budget guards a fn
+    that leaves the lattice.
     """
-    return iterate(op, op.lattice.bottom, len(op.lattice) + 1)
+    return iterate(fn, lattice.bottom, len(lattice) + 1)
 
 
-def gfp(op: MonotoneOp):
+def gfp(lattice: FiniteLattice, fn):
     """Greatest fixpoint, by descending iteration from top (dual of lfp)."""
-    return iterate(op, op.lattice.top, len(op.lattice) + 1)
+    return iterate(fn, lattice.top, len(lattice) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,36 +404,34 @@ class Endofunctor(Record):
 
 
 class IndexedPoset:
-    """Contravariant assignment of finite lattices to objects.
+    """Contravariant assignment of finite lattices to the objects of a base.
 
-    ``reindex(f)`` maps fiber(f.cod) to fiber(f.dom) and must be
-    functorial and monotone; subclasses may declare existential
-    quantification (a left adjoint to every reindexing).
+    ``fibers`` maps each object to its lattice, and ``reindex_maps`` each
+    non-identity morphism's name to its table from fiber(f.cod) to
+    fiber(f.dom); a subclass may compute them instead.  Reindexing must be
+    functorial and monotone.  Existential quantification, its left
+    adjoint, is found by scanning the finite fibers.
     """
 
-    supports_exists = False
-
-    def __init__(self, base: FinCategory):
+    def __init__(self, base: FinCategory, fibers=(), reindex_maps=()):
         self.base = base
+        self._fibers = dict(fibers)
+        self._reindex = {name: dict(table)
+                         for name, table in dict(reindex_maps).items()}
 
     def fiber(self, c) -> FiniteLattice:
-        raise NotImplementedError
+        return self._fibers[c]
 
     def reindex(self, f: Morphism):
-        raise NotImplementedError
+        if self.base.is_identity(f):
+            return lambda y: y
+        return self._reindex[f.name].__getitem__
 
     def exists_along(self, f: Morphism, x):
         """Left adjoint to reindex(f): the least y with x <= f*(y)."""
-        if not self.supports_exists:
-            raise NotSupported(
-                "this indexed poset does not declare existential quantification")
-        src, tgt = self.fiber(f.dom), self.fiber(f.cod)
-        pull = self.reindex(f)
-        candidates = [y for y in tgt if src.le(x, pull(y))]
-        for y in candidates:
-            if all(tgt.le(y, z) for z in candidates):
-                return y
-        raise LatticeError(f"no least element above {x!r} along {f!r}")
+        src, tgt, pull = self.fiber(f.dom), self.fiber(f.cod), self.reindex(f)
+        return _least([y for y in tgt if src.le(x, pull(y))], tgt.le,
+                      f"no least element above {x!r} along {f!r}")
 
     def validate(self):
         base = self.base
@@ -501,25 +462,6 @@ class IndexedPoset:
                         raise ValueError(
                             f"reindexing breaks composition on {g.name},{f.name}")
         return True
-
-
-class TabularIndexedPoset(IndexedPoset):
-    """Indexed poset with explicit fiber lattices and reindexing tables."""
-
-    def __init__(self, base, fibers, reindex_maps, supports_exists=False):
-        super().__init__(base)
-        self._fibers = dict(fibers)
-        self._reindex = {name: dict(table) for name, table in reindex_maps.items()}
-        self.supports_exists = supports_exists
-
-    def fiber(self, c):
-        return self._fibers[c]
-
-    def reindex(self, f: Morphism):
-        if self.base.is_identity(f):
-            return lambda y: y
-        table = self._reindex[f.name]
-        return lambda y: table[y]
 
 
 class LiftedFunctor:
@@ -570,49 +512,24 @@ class LiftedFunctor:
                     f"lax naturality fails along {f.name} at {s!r}")
 
 
-def initial_algebra_operator(lifted: LiftedFunctor, a, alpha: Morphism) -> MonotoneOp:
-    """The operator (alpha^-1)* . action_a on fiber(a)."""
-    functor = lifted.functor
-    if (alpha.dom, alpha.cod) != (functor.obj(a), a):
-        raise ValueError(f"{alpha!r} is not an algebra on {a}")
-    alpha_inv = lifted.poset.base.inverse(alpha)
-    pull = lifted.poset.reindex(alpha_inv)
-    act = lifted.action(a)
-    return MonotoneOp(lifted.poset.fiber(a), lambda s: pull(act(s)),
-                      name=f"initial-algebra operator at {a}")
-
-
-def final_coalgebra_operator(lifted: LiftedFunctor, d, delta: Morphism) -> MonotoneOp:
-    """The operator delta* . action_d on fiber(d)."""
-    functor = lifted.functor
-    if (delta.dom, delta.cod) != (d, functor.obj(d)):
-        raise ValueError(f"{delta!r} is not a coalgebra on {d}")
-    pull = lifted.poset.reindex(delta)
-    act = lifted.action(d)
-    return MonotoneOp(lifted.poset.fiber(d), lambda s: pull(act(s)),
-                      name=f"final-coalgebra operator at {d}")
-
-
 def lift_initial_algebra(lifted: LiftedFunctor, a, alpha: Morphism):
-    """Least pre-fixpoint over an invertible algebra alpha: F a -> a.
-
-    Returns (a, r) where r is the least fixpoint of (alpha^-1)* . action_a;
-    the pair with structure map alpha is initial among lifted algebras.
-    """
-    return a, lfp(initial_algebra_operator(lifted, a, alpha))
+    """The fiber element over an invertible algebra alpha: F a -> a that
+    makes it initial among lifted algebras: the least fixpoint of
+    (alpha^-1)* . action_a on fiber(a)."""
+    if (alpha.dom, alpha.cod) != (lifted.functor.obj(a), a):
+        raise ValueError(f"{alpha!r} is not an algebra on {a}")
+    pull = lifted.poset.reindex(lifted.poset.base.inverse(alpha))
+    act = lifted.action(a)
+    return lfp(lifted.poset.fiber(a), lambda s: pull(act(s)))
 
 
 def lift_final_coalgebra(lifted: LiftedFunctor, d, delta: Morphism):
-    """Greatest post-fixpoint over an invertible coalgebra delta: d -> F d."""
+    """The fiber element over an invertible coalgebra delta: d -> F d that
+    makes it final among lifted coalgebras: the greatest fixpoint of
+    delta* . action_d on fiber(d)."""
     lifted.poset.base.inverse(delta)  # NotInvertible when absent
-    return d, gfp(final_coalgebra_operator(lifted, d, delta))
-
-
-def check_lifted_morphism(poset: IndexedPoset, f: Morphism, r, s) -> bool:
-    """True iff f carries the fiber element r into s, i.e. r <= f*(s)."""
-    return poset.fiber(f.dom).le(r, poset.reindex(f)(s))
-
-
-def exists_along(poset: IndexedPoset, f: Morphism, x):
-    """Existential quantification along f (left adjoint to reindexing)."""
-    return poset.exists_along(f, x)
+    if (delta.dom, delta.cod) != (d, lifted.functor.obj(d)):
+        raise ValueError(f"{delta!r} is not a coalgebra on {d}")
+    pull = lifted.poset.reindex(delta)
+    act = lifted.action(d)
+    return gfp(lifted.poset.fiber(d), lambda s: pull(act(s)))

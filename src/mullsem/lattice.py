@@ -1,7 +1,7 @@
 """Fixpoints by iteration: the one loop that every model runs through.
 
-Finite lattices, monotone operators and their ``lfp``/``gfp``, which no
-command runs, live in ``fibration``.
+Finite lattices and their ``lfp``/``gfp``, which no command runs, live
+in ``fibration``.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ live here too: the Boolean bridge between relations and matrices, the
 semiring law check, a matrix renderer and a phase orthogonal.
 """
 
+import collections
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -80,6 +81,16 @@ def greatest_postfixpoint_scan(lattice, fn):
         if all(lattice.le(y, x) for y in post):
             return x
     raise AssertionError("no greatest post-fixpoint")
+
+
+def check_monotone(lattice, fn):
+    """Exhaustive monotonicity check; raises LatticeError on failure."""
+    from mullsem.errors import LatticeError
+    for a in lattice:
+        for b in lattice:
+            if lattice.le(a, b) and not lattice.le(fn(a), fn(b)):
+                raise LatticeError(f"not monotone at {a!r} <= {b!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +348,116 @@ def fixpoint_sample(count, seed):
                  for body in _NESTED for o in ("mu", "nu")
                  for i in ("mu", "nu") for leaf in _LEAVES]
     return random.Random(seed).sample(formulas, count)
+
+
+# ---------------------------------------------------------------------------
+# the isomorphisms of MALL as total morphisms
+
+# the totality spaces that the atoms of the random triples name
+ISO_ATOMS = {"a": "1 + 1", "b": "~(1 + 1)", "c": "(1 + 1) * (1 + 1 + 1)",
+             "d": "(1 & 1) + 1"}
+
+
+def mall_isomorphism_schemata():
+    """name -> (left, right, iso, isomorphic): two formula templates over
+    A, B and C, and the bijection iso of their rel carriers, left to
+    right, on elements.  The last schema is not an isomorphism: only its
+    left-to-right map is total on every instance."""
+    from mullsem.relmodel import InL, InR, Pair
+
+    def swap_pair(e):
+        return Pair(e.second, e.first)
+
+    def swap_sum(e):
+        return InR(e.value) if type(e) is InL else InL(e.value)
+
+    def reassociate(e):
+        return Pair(e.first.first, Pair(e.first.second, e.second))
+
+    def drop_unit(e):  # the unit's component of a Pair, or a sum's tag
+        return e.first if type(e) is Pair else e.value
+
+    def distribute(e):
+        return type(e.second)(Pair(e.first, e.second.value))
+
+    return {
+        "A * B = B * A": ("{A} * {B}", "{B} * {A}", swap_pair, True),
+        "A + B = B + A": ("{A} + {B}", "{B} + {A}", swap_sum, True),
+        "A & B = B & A": ("{A} & {B}", "{B} & {A}", swap_sum, True),
+        "(A * B) * C = A * (B * C)": ("({A} * {B}) * {C}",
+                                      "{A} * ({B} * {C})", reassociate, True),
+        "A * 1 = A": ("{A} * 1", "{A}", drop_unit, True),
+        "A | bot = A": ("{A} | bot", "{A}", drop_unit, True),
+        "A + 0 = A": ("{A} + 0", "{A}", drop_unit, True),
+        "A & top = A": ("{A} & top", "{A}", drop_unit, True),
+        "A * (B + C) = (A * B) + (A * C)": (
+            "{A} * ({B} + {C})", "({A} * {B}) + ({A} * {C})", distribute,
+            True),
+        "A * (B & C) = (A * B) & (A * C)": (
+            "{A} * ({B} & {C})", "({A} * {B}) & ({A} * {C})", distribute,
+            False),
+    }
+
+
+def _random_mall(rng, leaves):
+    """A random MALL formula over the atoms with at most leaves leaves."""
+    if leaves == 1 or rng.random() < 0.3:
+        atom = rng.choice(sorted(ISO_ATOMS))
+        return f"~{atom}" if rng.random() < 0.25 else atom
+    left = rng.randint(1, leaves - 1)
+    return (f"({_random_mall(rng, left)} {rng.choice('*|+&')} "
+            f"{_random_mall(rng, leaves - left)})")
+
+
+def mall_isomorphisms(count, seed, budgets):
+    """Each schema of ``mall_isomorphism_schemata`` on count seeded
+    triples (A, B, C) of at most two leaves each, in totality under
+    budgets, with the atoms bound to the spaces of ISO_ATOMS.
+
+    The map of a schema and its converse compose to the identities; an
+    instance is tallied by which of the two is a total morphism:
+    "both", "there" (left to right only), "back" or "neither", and
+    "refused" when a side is not interpreted.  Returns name ->
+    (isomorphic, tally).
+    """
+    from mullsem.errors import MullsemError
+    from mullsem.fibration import (check_total_morphism, compose_rel,
+                                   identity_rel)
+    from mullsem.formula import parse
+    from mullsem.relmodel import Relation
+    from mullsem.totality import interpret_totality
+
+    env = {name: interpret_totality(parse(text))
+           for name, text in ISO_ATOMS.items()}
+    rng = random.Random(seed)
+    triples = [[_random_mall(rng, 2) for _ in "ABC"] for _ in range(count)]
+    out = {}
+    for name, (left, right, iso, isomorphic) in \
+            mall_isomorphism_schemata().items():
+        tally = collections.Counter()
+        for a, b, c in triples:
+            try:
+                src, tgt = (interpret_totality(
+                    parse(side.format(A=a, B=b, C=c)), env, budgets)
+                    for side in (left, right))
+            except MullsemError:
+                tally["refused"] += 1
+                continue
+            # iso's elements are equal to the target's: take those, whose
+            # comparisons then stop at identity
+            elements = {e: e for e in tgt.carrier}
+            there = Relation(src.carrier, tgt.carrier, frozenset(
+                (e, elements[iso(e)]) for e in src.carrier))
+            back = Relation(tgt.carrier, src.carrier,
+                            frozenset((y, x) for x, y in there.pairs))
+            assert compose_rel(there, back) == identity_rel(src.carrier)
+            assert compose_rel(back, there) == identity_rel(tgt.carrier)
+            ways = (check_total_morphism(there, src, tgt),
+                    check_total_morphism(back, tgt, src))
+            tally[{(True, True): "both", (True, False): "there",
+                   (False, True): "back"}.get(ways, "neither")] += 1
+        out[name] = (isomorphic, tally)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,10 @@ def test_criterion_3_certified_fixpoint_lifting():
         lifted.poset.validate()
         lifted.validate()
         alpha = lifted.poset.base.morphisms[alg]
-        _, lpfp = lift_initial_algebra(lifted, a_obj, alpha)
+        lpfp = lift_initial_algebra(lifted, a_obj, alpha)
         assert certify_initial_lifted(lifted, a_obj, alpha, lpfp)
         delta = lifted.poset.base.morphisms[coalg]
-        _, gpfp = lift_final_coalgebra(lifted, d_obj, delta)
+        gpfp = lift_final_coalgebra(lifted, d_obj, delta)
         assert certify_final_lifted(lifted, d_obj, delta, gpfp)
         report(3, f"certified fixpoint lifting [{name}]", started, limit=10)
 

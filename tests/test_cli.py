@@ -586,7 +586,6 @@ ERRORS = [
     errors.CarrierMismatch("endpoints"),
     errors.CarrierTooLarge(13, 12),
     errors.NotInvertible("map"),
-    errors.NotSupported("capability"),
     errors.IndexMismatch("indices"),
     errors.DimensionCap(9, 8),
     errors.EmptyGenerators(),

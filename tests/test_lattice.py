@@ -1,8 +1,9 @@
 import pytest
 
-from oracles import greatest_postfixpoint_scan, least_prefixpoint_scan
+from oracles import (check_monotone, greatest_postfixpoint_scan,
+                     least_prefixpoint_scan)
 from mullsem.errors import IterationBudgetExceeded, LatticeError
-from mullsem.fibration import FiniteLattice, MonotoneOp, gfp, lfp
+from mullsem.fibration import FiniteLattice, gfp, lfp
 from mullsem.lattice import iterate
 
 
@@ -36,42 +37,42 @@ class TestFiniteLattice:
 
     def test_monotonicity_checker(self):
         lat = chain4()
-        MonotoneOp(lat, lambda x: min(x + 1, 3)).check_monotone()
-        bad = MonotoneOp(lat, lambda x: {0: 1, 1: 0, 2: 2, 3: 3}[x])
+        check_monotone(lat, lambda x: min(x + 1, 3))
         with pytest.raises(LatticeError):
-            bad.check_monotone()
+            check_monotone(lat, lambda x: {0: 1, 1: 0, 2: 2, 3: 3}[x])
 
 
 class TestFixpoints:
     def test_identity(self):
         lat = chain4()
-        ident = MonotoneOp(lat, lambda x: x)
-        assert lfp(ident) == 0
-        assert gfp(ident) == 3
+        assert lfp(lat, lambda x: x) == 0
+        assert gfp(lat, lambda x: x) == 3
 
     def test_constant(self):
         lat = chain4()
-        const = MonotoneOp(lat, lambda x: 2)
-        assert lfp(const) == 2
-        assert gfp(const) == 2
+        assert lfp(lat, lambda x: 2) == 2
+        assert gfp(lat, lambda x: 2) == 2
 
     def test_chain_example_against_scan(self):
         lat = chain4()
         table = {0: 1, 1: 2, 2: 2, 3: 3}
-        op = MonotoneOp(lat, table.__getitem__)
-        op.check_monotone()
-        assert lfp(op) == 2
-        assert gfp(op) == 3
-        assert least_prefixpoint_scan(lat, op.fn) == 2
-        assert greatest_postfixpoint_scan(lat, op.fn) == 3
+        op = table.__getitem__
+        check_monotone(lat, op)
+        assert lfp(lat, op) == 2
+        assert gfp(lat, op) == 3
+        assert least_prefixpoint_scan(lat, op) == 2
+        assert greatest_postfixpoint_scan(lat, op) == 3
 
     def test_results_are_exact_fixpoints(self):
         lat = FiniteLattice.powerset("abc")
-        op = MonotoneOp(lat, lambda s: s | frozenset("a"))
-        r = lfp(op)
+
+        def op(s):
+            return s | frozenset("a")
+
+        r = lfp(lat, op)
         assert op(r) == r
-        assert r == least_prefixpoint_scan(lat, op.fn)
-        q = gfp(op)
+        assert r == least_prefixpoint_scan(lat, op)
+        q = gfp(lat, op)
         assert op(q) == q
 
     def test_least_greatest_certified_exhaustively(self):
@@ -80,18 +81,15 @@ class TestFixpoints:
         def op(s):
             return s | (frozenset("b") if "a" in s else frozenset())
 
-        mono = MonotoneOp(lat, op)
-        mono.check_monotone()
-        assert lfp(mono) == least_prefixpoint_scan(lat, op)
-        assert gfp(mono) == greatest_postfixpoint_scan(lat, op)
+        check_monotone(lat, op)
+        assert lfp(lat, op) == least_prefixpoint_scan(lat, op)
+        assert gfp(lat, op) == greatest_postfixpoint_scan(lat, op)
 
     def test_budget_on_non_stabilizing_adapter(self):
         # adapter over an unbounded chain: never stabilizes
         lat = chain4()
-        op = MonotoneOp(lat, lambda x: x)
-        op.fn = lambda x: x + 1  # deliberately escapes the lattice
         with pytest.raises(IterationBudgetExceeded) as info:
-            lfp(op)
+            lfp(lat, lambda x: x + 1)  # deliberately escapes the lattice
         assert info.value.budget == len(lat) + 1
         assert info.value.last is not None
 
@@ -129,17 +127,19 @@ class TestMidScaleCertification:
         def op(s):
             return s | (anchor if "c" in s else frozenset("c"))
 
-        mono = MonotoneOp(lat, op)
-        mono.check_monotone()
-        assert lfp(mono) == least_prefixpoint_scan(lat, op)
-        assert gfp(mono) == greatest_postfixpoint_scan(lat, op)
+        check_monotone(lat, op)
+        assert lfp(lat, op) == least_prefixpoint_scan(lat, op)
+        assert gfp(lat, op) == greatest_postfixpoint_scan(lat, op)
 
     def test_chain_500(self):
         lat = FiniteLattice.chain(500)
-        op = MonotoneOp(lat, lambda x: min(x + 7, 341))
+
+        def op(x):
+            return min(x + 7, 341)
+
         # 341 is the only fixpoint: everything below climbs to it and
         # everything above falls onto it
-        assert lfp(op) == 341
-        assert gfp(op) == 341
-        assert least_prefixpoint_scan(lat, op.fn) == 341
-        assert greatest_postfixpoint_scan(lat, op.fn) == 341
+        assert lfp(lat, op) == 341
+        assert gfp(lat, op) == 341
+        assert least_prefixpoint_scan(lat, op) == 341
+        assert greatest_postfixpoint_scan(lat, op) == 341

@@ -67,20 +67,6 @@ def test_each_public_name_is_exported_from_its_defining_module():
                 None, f"mullsem.{module}"), name
 
 
-# Top-level definitions in src/ that no src/ code references and the
-# package does not export, each with the reason it stays: the lifting
-# theorem's pieces wait in fibration.py for the lifting checks on the
-# concrete models (ROADMAP), which are to call them or delete them
-UNCALLED_BY_DESIGN = {
-    f"fibration.{name}": "lifting theorem, awaiting its concrete checks"
-    for name in ("identity_rel", "copoint", "preimage_family",
-                 "direct_image_family", "family_lattice",
-                 "TabularIndexedPoset", "lift_initial_algebra",
-                 "lift_final_coalgebra", "check_lifted_morphism",
-                 "exists_along")
-}
-
-
 def _referenced(node):
     """How often each name is read, as a variable, an attribute or an
     imported name, in the tree under node."""
@@ -98,7 +84,9 @@ def _referenced(node):
 def test_src_defines_only_what_src_or_the_api_uses():
     # code that only tests call belongs in tests/oracles.py: a function
     # or class at the top of a module must be referenced by other src/
-    # code, be exported through _EXPORTS, or be a command's run
+    # code, be exported through _EXPORTS, or be a command's run.  A
+    # public method of an exported class is API; any other method must
+    # be read by src/ code outside its own body
     package = Path(SRC) / "mullsem"
     trees = {path.relative_to(package).with_suffix("").as_posix()
              .replace("/", "."): ast.parse(path.read_text(encoding="utf-8"))
@@ -107,20 +95,30 @@ def test_src_defines_only_what_src_or_the_api_uses():
     for tree in trees.values():
         everywhere += _referenced(tree)
     exported = {n for names in mullsem._EXPORTS.values() for n in names}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def used(node):
+        name = node.name
+        return (everywhere[name] > _referenced(node)[name]
+                or name.startswith("__") and name.endswith("__"))
+
     unused = set()
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
+            if not isinstance(node, (*functions, ast.ClassDef)):
                 continue
-            name = node.name
-            if (everywhere[name] > _referenced(node)[name]
-                    or name in exported
-                    or name.startswith("__") and name.endswith("__")
-                    or module.startswith("commands.") and name == "run"):
+            if not (used(node) or node.name in exported
+                    or module.startswith("commands.") and node.name == "run"):
+                unused.add(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
                 continue
-            unused.add(f"{module}.{name}")
-    assert unused == set(UNCALLED_BY_DESIGN)
+            for method in node.body:
+                if not isinstance(method, functions) or used(method):
+                    continue
+                if node.name in exported and not method.name.startswith("_"):
+                    continue
+                unused.add(f"{module}.{node.name}.{method.name}")
+    assert unused == set()
 
 
 def _tracing():
